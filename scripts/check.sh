@@ -263,6 +263,18 @@ for fig in fig2 fig5; do
     diff -q "$CKPT_DIR/$fig-second/$fig.txt" "tests/properties/golden/$fig.txt" > /dev/null
     echo ok
 done
+# The goldens cannot see how the state was stored: check that the object-
+# mode file is format 2 with a shared descriptor table (fig2's run holds
+# legacy-Cyclon nodes only, so fig5's is the one with descriptors).
+printf '  fig5 (object) checkpoint is format 2 with a shared descriptor table ... '
+python -m repro.ops inspect "$CKPT_DIR/fig5/run-0.ckpt" | python -c '
+import json, sys
+summary = json.load(sys.stdin)
+ratio = summary["descriptor_table"]["dedupe_ratio"]
+assert summary["format_version"] == 2, summary["format_version"]
+assert ratio > 1, f"descriptor dedupe ratio {ratio} (per-node embedding?)"
+print(f"ok (dedupe {ratio:.1f}x)")
+'
 printf '  fig5 (wire) checkpoint half ... '
 REPRO_TRANSPORT=wire timeout 300 python -m repro.experiments fig5 --scale smoke --seed 1 \
     --checkpoint "$CKPT_DIR/fig5-wire" --output "$CKPT_DIR/fig5-wire-first" > /dev/null

@@ -580,6 +580,29 @@ class FastDecoder:
             for frame in split_frames(data)
         ]
 
+    def decode_descriptor_run(
+        self, data: bytes, count: int
+    ) -> Tuple[SecureDescriptor, ...]:
+        """Decode ``count`` length-prefixed descriptor records filling ``data``.
+
+        The wire's descriptor-list layout without the message around it
+        (bulk descriptor stores such as checkpoint tables).  Each record
+        gets its own fresh shell; atoms intern through :attr:`intern`.
+        Truncation, a corrupt record, or bytes left over raise
+        :class:`CodecError`.
+        """
+        size = len(data)
+        offset = 0
+        items: List[SecureDescriptor] = []
+        append = items.append
+        read = self._read_descriptor
+        for _ in range(count):
+            descriptor, offset = read(data, offset, size)
+            append(descriptor)
+        if offset != size:
+            raise CodecError("trailing bytes after descriptor run")
+        return tuple(items)
+
     # ------------------------------------------------------------------
     # record parsing
     # ------------------------------------------------------------------

@@ -123,6 +123,10 @@ _HOP_COUNT = struct.Struct(">H")
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 
+#: Proof classes in kind-code order: a proof record's leading byte is
+#: an index into this tuple.
+PROOF_TYPES = (CloningProof, FrequencyProof)
+
 
 def encode_descriptor(descriptor: SecureDescriptor) -> bytes:
     """Serialise a descriptor to a canonical byte string."""
@@ -192,7 +196,7 @@ def encoded_descriptor_size(descriptor: SecureDescriptor) -> int:
 
 def encode_proof(proof: ViolationProof) -> bytes:
     """Serialise a proof (kind byte + two length-prefixed descriptors)."""
-    kind_code = 0 if isinstance(proof, CloningProof) else 1
+    kind_code = PROOF_TYPES.index(type(proof))
     first = encode_descriptor(proof.first)
     second = encode_descriptor(proof.second)
     return b"".join(
@@ -211,6 +215,7 @@ def decode_proof(data: bytes) -> ViolationProof:
     """Inverse of :func:`encode_proof`."""
     try:
         (kind_code,) = _U8.unpack_from(data, 0)
+        cls = PROOF_TYPES[kind_code]
         culprit = PublicKey(data[1:33])
         offset = 33
         (first_len,) = _U32.unpack_from(data, offset)
@@ -225,5 +230,4 @@ def decode_proof(data: bytes) -> ViolationProof:
             raise DescriptorError("trailing bytes after proof")
     except (struct.error, ValueError, IndexError) as exc:
         raise DescriptorError(f"malformed proof bytes: {exc}") from exc
-    cls = CloningProof if kind_code == 0 else FrequencyProof
     return cls(first=first, second=second, culprit=culprit)

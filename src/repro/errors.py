@@ -64,8 +64,10 @@ class CheckpointError(CodecError):
     """A checkpoint file could not be read back or applied.
 
     Raised by :mod:`repro.ops.checkpoint` for bad magic bytes, an
-    unknown format version, truncated or trailing frames, a footer
-    record count that disagrees with the file, and for restore targets
+    unknown format version, truncated, trailing or oversize frames,
+    table chunks out of sequence, references to table entries the file
+    does not hold, a footer record count that disagrees with the file,
+    and for restore targets
     that do not match the checkpoint (different seed, node population,
     or node classes).  Subclasses :class:`CodecError` because a state
     file that does not parse and a wire frame that does not parse are

@@ -20,7 +20,8 @@ descriptors, growing blacklists):
    per-node view/blacklist state.
 
 Every row must read ``exact``; the table also reports the checkpoint's
-size and record census so regressions in the format show up here.
+size, save and restore wall time, record census and descriptor-table
+sharing, so regressions in the format show up here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SecureCyclonConfig
@@ -58,7 +60,10 @@ class CheckpointResumeResult:
     cycles: int
     checkpoint_cycle: int
     file_bytes: int
+    save_s: float
+    restore_s: float
     record_census: Dict[str, int]
+    descriptor_table: Dict[str, float]
     rng_streams: int
     probes: List[ProbeComparison]
     final_state_exact: bool
@@ -110,11 +115,15 @@ def run_checkpoint_resume(
     first.run(half)
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
         path = Path(tmp) / "mid.ckpt"
+        started = perf_counter()
         first.engine.checkpoint(path)
+        save_s = perf_counter() - started
         file_bytes = path.stat().st_size
         summary = inspect_checkpoint(path)
         resumed, resumed_obs = _build(nodes, malicious, attack_start, seed)
+        started = perf_counter()
         resumed.engine.resume(path)
+        restore_s = perf_counter() - started
         resumed.run(cycles - half)
 
     comparisons: List[ProbeComparison] = []
@@ -137,7 +146,10 @@ def run_checkpoint_resume(
         cycles=cycles,
         checkpoint_cycle=half,
         file_bytes=file_bytes,
+        save_s=save_s,
+        restore_s=restore_s,
         record_census=summary["records"],
+        descriptor_table=summary["descriptor_table"],
         rng_streams=len(summary["rng_streams"]),
         probes=comparisons,
         final_state_exact=_final_state(unbroken) == _final_state(resumed),
@@ -166,6 +178,7 @@ def render(result: CheckpointResumeResult) -> str:
     table = format_table(
         ["series", "samples", "resumed vs unbroken", "max |diff|"], rows
     )
+    shared = result.descriptor_table
     census = ", ".join(
         f"{name}×{count}"
         for name, count in sorted(result.record_census.items())
@@ -176,8 +189,12 @@ def render(result: CheckpointResumeResult) -> str:
         f"({result.nodes} nodes, {result.malicious} hub attackers, "
         f"checkpoint at cycle {result.checkpoint_cycle} of "
         f"{result.cycles}; resumed into a freshly built engine)\n\n"
-        f"checkpoint: {result.file_bytes} bytes, "
+        f"checkpoint: {result.file_bytes} bytes, saved in "
+        f"{result.save_s:.2f} s, restored in {result.restore_s:.2f} s, "
         f"{result.rng_streams} RNG streams, {census}\n"
+        f"descriptor table: {shared['entries']} entries for "
+        f"{shared['references']} references "
+        f"({shared['dedupe_ratio']:.1f}x shared)\n"
     )
     return header + "\n" + table
 

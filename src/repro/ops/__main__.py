@@ -8,7 +8,9 @@ Two subcommands:
   until the server closes it after the run's ``finish`` row.
 * ``inspect PATH`` — print a JSON summary of a checkpoint file:
   format version, seed, clock position, record census, node kinds,
-  RNG stream names.
+  RNG stream names, and the descriptor table's entries, the
+  references to them and their ratio (how much sharing the table
+  saved over writing every reference out).
 """
 
 from __future__ import annotations

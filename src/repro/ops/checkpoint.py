@@ -6,14 +6,24 @@ File format (``docs/OPS.md`` has the normative description)::
     repeat: u32 frame length + frame bytes   one codec message per frame
 
 Every frame is an :mod:`repro.ops.records` record serialised through
-:func:`repro.core.codec.encode_message`.  The first record must be a
-:class:`~repro.ops.records.CheckpointHeader` (format version, master
-seed, clock position, node count) and the last a
+:func:`repro.core.codec.encode_message` and at most
+:data:`~repro.core.codec.MAX_FRAME_BYTES` long.  The first record must
+be a :class:`~repro.ops.records.CheckpointHeader` (format version,
+master seed, clock position, node count) and the last a
 :class:`~repro.ops.records.CheckpointFooter` whose record count covers
 the whole file — truncation at any frame boundary is caught by
 arithmetic, truncation inside a frame by the codec, and both surface
 as a typed :class:`~repro.errors.CheckpointError` before any state is
 applied.
+
+The body is one **descriptor table** plus per-node records that
+reference it.  Capture keys every :class:`SecureDescriptor` by object
+identity and writes each distinct object once, so a descriptor that
+sits in forty sample caches is stored — and restored — once, and the
+restored overlay has exactly the sharing the live one had: object
+mode shares across nodes, wire mode shares nothing its receivers did
+not.  Identity, not content: merging equal-content objects would make
+wire receivers share descriptors they never shared.
 
 The resume model is **rebuild + overlay**: a checkpoint stores only
 the *mutated* state (views, caches, blacklists, RNG streams, counters,
@@ -36,34 +46,54 @@ import pickle
 import struct
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import replace
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.adversary.cloning import CloneEvent, CloningAttacker, _StashEntry
 from repro.adversary.coordinator import MaliciousCoordinator
 from repro.adversary.hub import CyclonHubAttacker, SecureHubAttacker
-from repro.core.codec import decode_message, encode_message
-from repro.core.descriptor import DescriptorId
+from repro.core.codec import MAX_FRAME_BYTES, decode_message, encode_message
+from repro.core.codec_batch import FastDecoder, InternTable
+from repro.core.descriptor import DescriptorId, SecureDescriptor
 from repro.core.node import SecureCyclonNode
 from repro.core.samples import _BY_TS, _TIMESTAMPS
 from repro.core.view import _new_entry
+from repro.core.wire import PROOF_TYPES, encode_descriptor
+from repro.crypto.keys import PublicKey
 from repro.cyclon.node import CyclonNode
-from repro.errors import CheckpointError, ConfigError, SimulationError
+from repro.errors import (
+    CheckpointError,
+    CodecError,
+    ConfigError,
+    SimulationError,
+)
 from repro.ops.records import (
     BlobState,
     CheckpointFooter,
     CheckpointHeader,
     CoordinatorState,
+    DescriptorTableChunk,
+    KeyTableChunk,
     NetworkState,
     NodeState,
     PeerHealthState,
     RegistryState,
     RngStreamState,
+    node_ref_size,
 )
 
 MAGIC = b"RPCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _LEN = struct.Struct(">I")
+
+#: Payload bytes one chunk record may carry: the frame ceiling less
+#: room for the chunk's own fixed fields.
+_CHUNK_BUDGET = MAX_FRAME_BYTES - 64
+
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +118,37 @@ def _node_kind(node: Any) -> str:
     )
 
 
-def _capture_node(node: Any) -> NodeState:
+class _Tables:
+    """Capture-side descriptor and key tables.
+
+    Descriptors are keyed by ``id()``: every one is held by the engine
+    (and by :attr:`descriptors`) for the whole capture, so no id can be
+    recycled, and identity is the sharing the restore must reproduce.
+    Keys are value objects and are keyed by value.
+    """
+
+    def __init__(self) -> None:
+        self._refs: Dict[int, int] = {}
+        self.descriptors: List[SecureDescriptor] = []
+        self._keys: Dict[Any, int] = {}
+        self.keys: List[Any] = []
+
+    def ref(self, descriptor: SecureDescriptor) -> int:
+        index = self._refs.get(id(descriptor))
+        if index is None:
+            index = self._refs[id(descriptor)] = len(self.descriptors)
+            self.descriptors.append(descriptor)
+        return index
+
+    def key(self, node_id: Any) -> int:
+        index = self._keys.get(node_id)
+        if index is None:
+            index = self._keys[node_id] = len(self.keys)
+            self.keys.append(node_id)
+        return index
+
+
+def _capture_node(node: Any, tables: _Tables) -> NodeState:
     kind = _node_kind(node)
     if kind in ("cyclon", "cyclon-hub"):
         view = node.view
@@ -101,13 +161,29 @@ def _capture_node(node: Any) -> NodeState:
                 (record[0], record[1]) for record in view._records
             ),
         )
+    ref, key = tables.ref, tables.key
     cache = node.sample_cache
+    slots: List[Tuple[int, int]] = []
+    pairs: List[Tuple[float, int]] = []
+    for creator, slot in cache._by_creator.items():
+        timestamps, by_ts = slot[_TIMESTAMPS], slot[_BY_TS]
+        slots.append((key(creator), len(timestamps)))
+        pairs.extend([(ts, ref(by_ts[ts])) for ts in timestamps])
+    proofs = tuple(
+        (
+            PROOF_TYPES.index(type(proof)),
+            key(proof.culprit),
+            ref(proof.first),
+            ref(proof.second),
+        )
+        for proof in node.blacklist.proofs_tuple()
+    )
     extras: Dict[str, Any] = {}
-    if kind == "secure-hub":
-        extras["cycle_mint"] = node._cycle_mint
+    if kind == "secure-hub" and node._cycle_mint is not None:
+        extras["cycle_mint"] = ref(node._cycle_mint)
     elif kind == "cloning":
         extras["stash"] = tuple(
-            (entry.descriptor, entry.target_age) for entry in node._stash
+            (ref(entry.descriptor), entry.target_age) for entry in node._stash
         )
         extras["clone_events"] = tuple(
             (
@@ -128,21 +204,20 @@ def _capture_node(node: Any) -> NodeState:
         nonswap_redeemed=tuple(sorted(node._nonswap_redeemed_identities)),
         redeemed_own=tuple(sorted(node._redeemed_own_timestamps)),
         view_entries=tuple(
-            (entry.descriptor, entry.non_swappable)
+            (ref(entry.descriptor), entry.non_swappable)
             for entry in node.view._entries
         ),
-        samples=tuple(
-            (
-                creator,
-                tuple(
-                    (ts, slot[_BY_TS][ts]) for ts in slot[_TIMESTAMPS]
-                ),
-            )
-            for creator, slot in cache._by_creator.items()
+        sample_slots=tuple(slots),
+        sample_pairs=tuple(pairs),
+        sample_expiry=tuple(
+            (expiry_cycle, key(creator), ts)
+            for expiry_cycle, creator, ts in cache._expiry
         ),
-        sample_expiry=tuple(cache._expiry),
-        redemptions=tuple(node.redemption_cache._entries),
-        proofs=node.blacklist.proofs_tuple(),
+        redemptions=tuple(
+            (cycle, ref(descriptor))
+            for cycle, descriptor in node.redemption_cache._entries
+        ),
+        proofs=proofs,
         **extras,
     )
 
@@ -179,6 +254,49 @@ def _discover_coordinators(engine: Any) -> List[MaliciousCoordinator]:
     return found
 
 
+def _chunked(
+    items: Iterable[Any], size_of: Callable[[Any], int], budget: int
+) -> Iterator[Tuple[int, List[Any]]]:
+    """``(first index, items)`` runs of at most ``budget`` bytes each.
+
+    Always yields at least one (possibly empty) run, so every table
+    and list is present in the file even when it has no entries.
+    """
+    first, chunk, size = 0, [], 0
+    for index, item in enumerate(items):
+        cost = size_of(item)
+        if chunk and size + cost > budget:
+            yield first, chunk
+            first, chunk, size = index, [], 0
+        chunk.append(item)
+        size += cost
+    yield first, chunk
+
+
+def descriptor_table(
+    descriptors: Iterable[SecureDescriptor],
+) -> List[DescriptorTableChunk]:
+    """The descriptor table as chunks of at most ``_CHUNK_BUDGET`` record
+    bytes."""
+    framed = (
+        _LEN.pack(len(record)) + record
+        for record in map(encode_descriptor, descriptors)
+    )
+    return [
+        DescriptorTableChunk(
+            first=first, count=len(chunk), records=b"".join(chunk)
+        )
+        for first, chunk in _chunked(framed, len, _CHUNK_BUDGET)
+    ]
+
+
+def _blob_chunks(slot: str, payload: bytes) -> List[BlobState]:
+    return [
+        BlobState(slot=slot, payload=payload[start : start + _CHUNK_BUDGET])
+        for start in range(0, max(1, len(payload)), _CHUNK_BUDGET)
+    ]
+
+
 def capture_records(engine: Any) -> List[Any]:
     """Every record of ``engine``'s mutated state, header to footer."""
     records: List[Any] = [
@@ -193,9 +311,12 @@ def capture_records(engine: Any) -> List[Any]:
     ]
     for name, state in engine.rng_hub.stream_states().items():
         records.append(RngStreamState(name=name, state=state))
-    records.append(
-        RegistryState(
-            trusted_digests=tuple(engine.registry.trusted_chain_digests)
+    records.extend(
+        RegistryState(trusted_digests=tuple(chunk))
+        for _, chunk in _chunked(
+            engine.registry.trusted_chain_digests,
+            lambda digest: 4 + len(digest),
+            _CHUNK_BUDGET,
         )
     )
     network = engine.network
@@ -214,31 +335,36 @@ def capture_records(engine: Any) -> List[Any]:
     ledger = network.peer_health
     if ledger is not None:
         records.append(_capture_peer_health(ledger))
-    records.append(
-        BlobState(
-            slot="trace",
-            payload=pickle.dumps(list(engine.trace), protocol=4),
-        )
+    records.extend(
+        _blob_chunks("trace", pickle.dumps(list(engine.trace), protocol=4))
     )
-    for coordinator in _discover_coordinators(engine):
-        records.append(
-            CoordinatorState(
-                pool_maxlen=coordinator._pool.maxlen,
-                pool=tuple(coordinator._pool),
-                circulating=tuple(coordinator._circulating.values()),
-            )
+    # The body references the tables, so it is captured first and the
+    # tables written ahead of it.
+    tables = _Tables()
+    body: List[Any] = [
+        CoordinatorState(
+            pool_maxlen=coordinator._pool.maxlen,
+            pool=tuple(map(tables.ref, coordinator._pool)),
+            circulating=tuple(
+                map(tables.ref, coordinator._circulating.values())
+            ),
         )
-    for node in engine.nodes.values():
-        records.append(_capture_node(node))
+        for coordinator in _discover_coordinators(engine)
+    ]
+    body.extend(_capture_node(node, tables) for node in engine.nodes.values())
+    records.extend(
+        KeyTableChunk(first=first, keys=tuple(chunk))
+        for first, chunk in _chunked(tables.keys, node_ref_size, _CHUNK_BUDGET)
+    )
+    records.extend(descriptor_table(tables.descriptors))
+    records.extend(body)
     series = [
         observer.export_series()
         for observer in engine._observers
         if hasattr(observer, "export_series")
     ]
-    records.append(
-        BlobState(
-            slot="observer-series", payload=pickle.dumps(series, protocol=4)
-        )
+    records.extend(
+        _blob_chunks("observer-series", pickle.dumps(series, protocol=4))
     )
     records.append(CheckpointFooter(record_count=len(records) + 1))
     return records
@@ -249,14 +375,21 @@ def save_checkpoint(engine: Any, path: Any) -> pathlib.Path:
 
     Pure reads plus RNG ``getstate()`` — saving perturbs nothing, so a
     run that checkpoints mid-way stays bit-identical to one that does
-    not.  Returns the written path.
+    not.  Runs under the engine's GC scope.  Returns the written path.
     """
     path = pathlib.Path(path)
     parts: List[bytes] = [MAGIC]
-    for record in capture_records(engine):
-        payload = encode_message(record)
-        parts.append(_LEN.pack(len(payload)))
-        parts.append(payload)
+    with engine._tuned_gc():
+        for record in capture_records(engine):
+            payload = encode_message(record)
+            if len(payload) > MAX_FRAME_BYTES:
+                raise CheckpointError(
+                    f"a {type(record).__name__} record encodes to "
+                    f"{len(payload)} bytes, over the {MAX_FRAME_BYTES}-byte "
+                    "frame ceiling"
+                )
+            parts.append(_LEN.pack(len(payload)))
+            parts.append(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"".join(parts))
     return path
@@ -267,13 +400,60 @@ def save_checkpoint(engine: Any, path: Any) -> pathlib.Path:
 # ----------------------------------------------------------------------
 
 
-def read_checkpoint(path: Any) -> List[Any]:
-    """Parse and validate a checkpoint file into its record list.
+def _descriptor_refs(record: Any) -> Iterator[int]:
+    """Every descriptor-table reference a body record holds."""
+    if isinstance(record, CoordinatorState):
+        return itertools.chain(record.pool, record.circulating)
+    return itertools.chain(
+        map(_first, record.view_entries),
+        map(_second, record.sample_pairs),
+        map(_second, record.redemptions),
+        map(itemgetter(2), record.proofs),
+        map(itemgetter(3), record.proofs),
+        map(_first, record.stash),
+        () if record.cycle_mint is None else (record.cycle_mint,),
+    )
+
+
+def _key_refs(record: Any) -> Iterator[int]:
+    """Every key-table reference a body record holds."""
+    if isinstance(record, CoordinatorState):
+        return iter(())
+    return itertools.chain(
+        map(_first, record.sample_slots),
+        map(_second, record.sample_expiry),
+        map(_second, record.proofs),
+    )
+
+
+def _table_position(
+    path: Any, index: int, table: str, first: int, expected: int
+) -> None:
+    if first != expected:
+        raise CheckpointError(
+            f"{path}: frame {index} is a {table}-table chunk starting at "
+            f"entry {first}, expected {expected} (a chunk is duplicated, "
+            "missing or out of order)"
+        )
+
+
+def read_checkpoint(path: Any, keys: Iterable[Any] = ()) -> List[Any]:
+    """Parse, decode and validate a checkpoint file into its record list.
 
     Raises :class:`~repro.errors.CheckpointError` for bad magic, a
+    frame length over :data:`~repro.core.codec.MAX_FRAME_BYTES`, a
     truncated frame (at either the length-prefix or codec level), a
-    missing/misplaced header or footer, an unknown format version, and
-    a footer count that disagrees with the file.
+    missing/misplaced header or footer, another format version, a
+    table chunk out of sequence, a reference to a table entry no
+    earlier chunk holds, and a footer count that disagrees with the
+    file.
+
+    The descriptor table decodes through one :class:`FastDecoder` and
+    one fresh :class:`InternTable` — one shell per entry, keys and hops
+    interned as on the wire — into each chunk's ``descriptors``.
+    Public keys in ``keys`` (restore passes the engine's node ids) seed
+    that table, so decoded descriptors and key-table entries hold the
+    engine's own key objects.
     """
     path = pathlib.Path(path)
     try:
@@ -282,36 +462,83 @@ def read_checkpoint(path: Any) -> List[Any]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not data.startswith(MAGIC):
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    intern = InternTable()
+    known = intern.keys
+    known.update((key.digest, key) for key in keys if isinstance(key, PublicKey))
+    decoder = FastDecoder(intern)
+    entries = 0
+    key_count = 0
     offset = len(MAGIC)
     records: List[Any] = []
     while offset < len(data):
+        index = len(records)
         if offset + _LEN.size > len(data):
             raise CheckpointError(f"{path}: truncated frame length prefix")
         (size,) = _LEN.unpack_from(data, offset)
         offset += _LEN.size
+        if size > MAX_FRAME_BYTES:
+            raise CheckpointError(
+                f"{path}: frame {index} declares {size} bytes, over the "
+                f"{MAX_FRAME_BYTES}-byte frame ceiling"
+            )
         if size > len(data) - offset:
             raise CheckpointError(f"{path}: truncated frame")
         payload = data[offset : offset + size]
         offset += size
         try:
-            # No frame ceiling: a checkpointed node's sample cache can
-            # legitimately exceed the wire transport's 1 MiB bound, and
-            # checkpoint files are operator-trusted local artefacts.
-            records.append(decode_message(payload, max_frame_bytes=None))
+            record = decode_message(payload)
+            if isinstance(record, DescriptorTableChunk):
+                _table_position(path, index, "descriptor", record.first, entries)
+                record = replace(
+                    record,
+                    descriptors=decoder.decode_descriptor_run(
+                        record.records, record.count
+                    ),
+                )
+                entries += record.count
         except CheckpointError:
             raise
-        except Exception as exc:  # CodecError and codec-adjacent only
+        except CodecError as exc:
             raise CheckpointError(
-                f"{path}: frame {len(records)} is malformed: {exc}"
+                f"{path}: frame {index} is malformed: {exc}"
             ) from exc
-    if not records or not isinstance(records[0], CheckpointHeader):
+        if not records:
+            if not isinstance(record, CheckpointHeader):
+                raise CheckpointError(f"{path}: first record is not a header")
+            if record.format_version != FORMAT_VERSION:
+                raise CheckpointError(
+                    f"{path}: checkpoint format version "
+                    f"{record.format_version} is not readable by this "
+                    f"build, which reads version {FORMAT_VERSION} only"
+                )
+        elif isinstance(record, KeyTableChunk):
+            _table_position(path, index, "key", record.first, key_count)
+            record = replace(
+                record,
+                keys=tuple(
+                    known.setdefault(key.digest, key)
+                    if isinstance(key, PublicKey)
+                    else key
+                    for key in record.keys
+                ),
+            )
+            key_count += len(record.keys)
+        elif isinstance(record, (NodeState, CoordinatorState)):
+            highest = max(_descriptor_refs(record), default=-1)
+            if highest >= entries:
+                raise CheckpointError(
+                    f"{path}: frame {index} references descriptor-table "
+                    f"entry {highest}, but only {entries} entries precede it"
+                )
+            highest = max(_key_refs(record), default=-1)
+            if highest >= key_count:
+                raise CheckpointError(
+                    f"{path}: frame {index} references key-table entry "
+                    f"{highest}, but only {key_count} entries precede it"
+                )
+        records.append(record)
+    if not records:
         raise CheckpointError(f"{path}: first record is not a header")
-    header = records[0]
-    if header.format_version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unknown checkpoint format version "
-            f"{header.format_version} (this build reads {FORMAT_VERSION})"
-        )
     if not isinstance(records[-1], CheckpointFooter):
         raise CheckpointError(
             f"{path}: footer record missing (file truncated?)"
@@ -331,6 +558,7 @@ def inspect_checkpoint(path: Any) -> Dict[str, Any]:
     kinds: Dict[str, int] = {}
     streams: List[str] = []
     record_types: Dict[str, int] = {}
+    entries = references = 0
     for record in records:
         name = type(record).__name__
         record_types[name] = record_types.get(name, 0) + 1
@@ -338,6 +566,10 @@ def inspect_checkpoint(path: Any) -> Dict[str, Any]:
             kinds[record.kind] = kinds.get(record.kind, 0) + 1
         elif isinstance(record, RngStreamState):
             streams.append(record.name)
+        elif isinstance(record, DescriptorTableChunk):
+            entries += record.count
+        if isinstance(record, (NodeState, CoordinatorState)):
+            references += sum(1 for _ in _descriptor_refs(record))
     return {
         "path": str(path),
         "format_version": header.format_version,
@@ -349,6 +581,11 @@ def inspect_checkpoint(path: Any) -> Dict[str, Any]:
         "records": record_types,
         "node_kinds": kinds,
         "rng_streams": streams,
+        "descriptor_table": {
+            "entries": entries,
+            "references": references,
+            "dedupe_ratio": references / entries if entries else 0.0,
+        },
     }
 
 
@@ -357,7 +594,12 @@ def inspect_checkpoint(path: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-def _apply_node(node: Any, state: NodeState) -> None:
+def _apply_node(
+    node: Any,
+    state: NodeState,
+    table: List[SecureDescriptor],
+    keys: List[Any],
+) -> None:
     if state.kind in ("cyclon", "cyclon-hub"):
         node.current_cycle = state.current_cycle
         view = node.view
@@ -380,30 +622,33 @@ def _apply_node(node: Any, state: NodeState) -> None:
 
     view = node.view
     view._entries = [
-        _new_entry(descriptor, non_swappable)
-        for descriptor, non_swappable in state.view_entries
+        _new_entry(table[ref], non_swappable)
+        for ref, non_swappable in state.view_entries
     ]
     view._reindex()
 
     cache = node.sample_cache
     by_creator: Dict[Any, list] = {}
-    count = 0
-    for creator, pairs in state.samples:
-        timestamps = [ts for ts, _ in pairs]
-        by_ts = {ts: descriptor for ts, descriptor in pairs}
-        by_creator[creator] = [timestamps, by_ts]
-        count += len(pairs)
+    pairs = state.sample_pairs
+    start = 0
+    for key, count in state.sample_slots:
+        run = pairs[start : start + count]
+        start += count
+        by_creator[keys[key]] = [
+            [ts for ts, _ in run],
+            {ts: table[ref] for ts, ref in run},
+        ]
     cache._by_creator = by_creator
-    cache._count = count
+    cache._count = len(pairs)
     cache._expiry = deque(
-        (expiry_cycle, creator, ts)
-        for expiry_cycle, creator, ts in state.sample_expiry
+        (expiry_cycle, keys[key], ts)
+        for expiry_cycle, key, ts in state.sample_expiry
     )
 
     redemption = node.redemption_cache
     redemption._entries.clear()
     redemption._entries.extend(
-        (cycle, descriptor) for cycle, descriptor in state.redemptions
+        (cycle, table[ref]) for cycle, ref in state.redemptions
     )
     redemption._contents_cache = None
 
@@ -412,15 +657,21 @@ def _apply_node(node: Any, state: NodeState) -> None:
     blacklist = node.blacklist
     blacklist.by_culprit.clear()
     blacklist._proofs_tuple = ()
-    for proof in state.proofs:
-        blacklist.add(proof)
+    for kind, culprit, first, second in state.proofs:
+        blacklist.add(
+            PROOF_TYPES[kind](
+                first=table[first], second=table[second], culprit=keys[culprit]
+            )
+        )
 
     if state.kind == "secure-hub":
-        node._cycle_mint = state.cycle_mint
+        node._cycle_mint = (
+            None if state.cycle_mint is None else table[state.cycle_mint]
+        )
     elif state.kind == "cloning":
         node._stash = [
-            _StashEntry(descriptor=descriptor, target_age=target_age)
-            for descriptor, target_age in state.stash
+            _StashEntry(descriptor=table[ref], target_age=target_age)
+            for ref, target_age in state.stash
         ]
         node.clone_events = [
             CloneEvent(
@@ -458,33 +709,45 @@ def restore_checkpoint(engine: Any, path: Any) -> CheckpointHeader:
     touched — a mismatched checkpoint (different seed, period, node
     population, or node classes) raises
     :class:`~repro.errors.CheckpointError` and leaves the engine as it
-    was.  Returns the checkpoint header.
+    was.  Runs under the engine's GC scope.  Returns the checkpoint
+    header.
     """
-    records = read_checkpoint(path)
+    with engine._tuned_gc():
+        return _restore(engine, path)
+
+
+def _restore(engine: Any, path: Any) -> CheckpointHeader:
+    records = read_checkpoint(path, keys=engine.nodes)
     header: CheckpointHeader = records[0]
 
     rng_states: Dict[str, tuple] = {}
     node_states: Dict[Any, NodeState] = {}
     coordinator_states: List[CoordinatorState] = []
-    registry_state: Optional[RegistryState] = None
+    table: List[SecureDescriptor] = []
+    keys: List[Any] = []
+    trusted_digests: List[bytes] = []
     network_state: Optional[NetworkState] = None
     health_state: Optional[PeerHealthState] = None
-    blobs: Dict[str, bytes] = {}
+    blobs: Dict[str, List[bytes]] = {}
     for record in records[1:-1]:
-        if isinstance(record, RngStreamState):
-            rng_states[record.name] = record.state
-        elif isinstance(record, NodeState):
+        if isinstance(record, NodeState):
             node_states[record.node_id] = record
+        elif isinstance(record, DescriptorTableChunk):
+            table.extend(record.descriptors)
+        elif isinstance(record, KeyTableChunk):
+            keys.extend(record.keys)
+        elif isinstance(record, RngStreamState):
+            rng_states[record.name] = record.state
         elif isinstance(record, CoordinatorState):
             coordinator_states.append(record)
         elif isinstance(record, RegistryState):
-            registry_state = record
+            trusted_digests.extend(record.trusted_digests)
         elif isinstance(record, NetworkState):
             network_state = record
         elif isinstance(record, PeerHealthState):
             health_state = record
         elif isinstance(record, BlobState):
-            blobs[record.slot] = record.payload
+            blobs.setdefault(record.slot, []).append(record.payload)
         else:
             raise CheckpointError(
                 f"unexpected record type {type(record).__name__} "
@@ -542,7 +805,7 @@ def restore_checkpoint(engine: Any, path: Any) -> CheckpointHeader:
             "built without one"
         )
     saved_series: List[Dict[str, Any]] = (
-        pickle.loads(blobs["observer-series"])
+        pickle.loads(b"".join(blobs["observer-series"]))
         if "observer-series" in blobs
         else []
     )
@@ -561,11 +824,9 @@ def restore_checkpoint(engine: Any, path: Any) -> CheckpointHeader:
     # --- apply --------------------------------------------------------
     engine.rng_hub.restore_stream_states(rng_states)
     engine.clock.advance_to(header.now_s, cycle=header.cycle)
-    if registry_state is not None:
-        trusted = engine.registry.trusted_chain_digests
-        trusted.clear()
-        for digest in registry_state.trusted_digests:
-            trusted[digest] = None
+    trusted = engine.registry.trusted_chain_digests
+    trusted.clear()
+    trusted.update(dict.fromkeys(trusted_digests))
     if network_state is not None:
         network = engine.network
         network.dialogues_opened = network_state.dialogues_opened
@@ -580,16 +841,17 @@ def restore_checkpoint(engine: Any, path: Any) -> CheckpointHeader:
     if health_state is not None:
         _apply_peer_health(engine.network.peer_health, health_state)
     if "trace" in blobs:
-        events = pickle.loads(blobs["trace"])
+        events = pickle.loads(b"".join(blobs["trace"]))
         engine.trace._events[:] = events
     for coordinator, state in zip(coordinators, coordinator_states):
         coordinator._pool.clear()
-        coordinator._pool.extend(state.pool)
+        coordinator._pool.extend(table[ref] for ref in state.pool)
         coordinator._circulating.clear()
-        for descriptor in state.circulating:
+        for ref in state.circulating:
+            descriptor = table[ref]
             coordinator._circulating[descriptor.identity] = descriptor
     for node_id, state in node_states.items():
-        _apply_node(engine.nodes[node_id], state)
+        _apply_node(engine.nodes[node_id], state, table, keys)
     for observer, series in zip(series_observers, saved_series):
         observer.restore_series(series)
     return header

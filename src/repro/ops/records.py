@@ -3,19 +3,29 @@
 Every piece of *mutated* engine state — the parts a freshly rebuilt
 overlay would not already hold — gets a record type here, registered
 with the message codec (:func:`repro.core.codec.register_message_codec`)
-under type codes 32–41.  Codes 1–8 belong to the SecureCyclon dialogue,
+under type codes 32–42.  Codes 1–8 belong to the SecureCyclon dialogue,
 9–10 to the legacy-Cyclon shuffle; the checkpoint plane starts at 32 to
 leave room for future protocol messages.
 
 The records are plain frozen dataclasses so round-trip property tests
-can construct them directly.  Two kinds of payload:
+can construct them directly.  Three kinds of payload:
 
-* **Structured state** (views, sample caches, blacklists, proofs,
-  RNG streams, health ledgers) goes through the same writer/reader
-  primitives as the wire messages — descriptors and proofs reuse
-  :mod:`repro.core.wire` verbatim, so a restored descriptor verifies
-  exactly like a wire-decoded one (a property the wire goldens already
-  guard).
+* **Tables.**  Every distinct :class:`SecureDescriptor` object of the
+  checkpointed engine is written once, as its canonical
+  :func:`repro.core.wire.encode_descriptor` record, in
+  :class:`DescriptorTableChunk` records; node identities that key
+  sample caches and proofs are written once in :class:`KeyTableChunk`
+  records.  Both are chunked so no frame outgrows
+  :data:`~repro.core.codec.MAX_FRAME_BYTES`.
+
+* **Structured state** (views, sample caches, redemptions, proofs,
+  adversary pools, RNG streams, health ledgers).  Per-node descriptor
+  fields are u32 *references* into the descriptor table and node ids in
+  samples, expiry entries and proofs are u32 references into the key
+  table.  Fixed-width rows are written as packed runs (a byte-length
+  prefixed blob of back-to-back :mod:`struct` rows) and read back with
+  one ``iter_unpack`` per run; a run whose length is not a multiple of
+  its row size is a typed :class:`~repro.errors.CodecError`.
 
 * **Heterogeneous bookkeeping** (the event trace, observer series)
   rides in :class:`BlobState` as a pickle payload, mirroring the shard
@@ -23,14 +33,17 @@ can construct them directly.  Two kinds of payload:
   sockets, are operator-trusted local artefacts, not wire input (the
   trust boundary is documented in docs/OPS.md).
 
-Node identities use the same tagged encoding as the legacy-Cyclon
-codec: real runs key everything by :class:`~repro.crypto.keys.PublicKey`
-digests, while unit fixtures use ints and strings.
+Node identities outside the key table use the same tagged encoding as
+the legacy-Cyclon codec: real runs key everything by
+:class:`~repro.crypto.keys.PublicKey` digests, while unit fixtures use
+ints and strings.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Any, Optional, Tuple
 
 from repro.core.codec import (
@@ -39,7 +52,7 @@ from repro.core.codec import (
     register_message_codec,
 )
 from repro.core.descriptor import SecureDescriptor
-from repro.core.proofs import ViolationProof
+from repro.core.wire import PROOF_TYPES
 from repro.crypto.keys import PublicKey
 from repro.cyclon.descriptor import CyclonDescriptor
 from repro.errors import CodecError
@@ -55,6 +68,8 @@ CODE_BLOB = 37
 CODE_NODE = 38
 CODE_COORDINATOR = 39
 CODE_FOOTER = 40
+CODE_KEY_TABLE = 41
+CODE_DESCRIPTOR_TABLE = 42
 
 #: Node-state variants a checkpoint can carry, in tag order.
 NODE_KINDS = ("secure", "cyclon", "secure-hub", "cyclon-hub", "cloning")
@@ -64,6 +79,17 @@ BLOB_SLOTS = ("trace", "observer-series")
 
 #: Mersenne Twister ``getstate()`` version this codec understands.
 _MT_VERSION = 3
+
+# Row layouts of the packed runs (big-endian, no padding).
+F64_ROW = struct.Struct(">d")  # a float
+REF_ROW = struct.Struct(">I")  # a table reference
+VIEW_ROW = struct.Struct(">IB")  # (ref, non_swappable)
+SLOT_ROW = struct.Struct(">II")  # (creator key, sample count)
+PAIR_ROW = struct.Struct(">dI")  # (timestamp, ref)
+EXPIRY_ROW = struct.Struct(">IId")  # (expiry cycle, creator key, timestamp)
+REDEMPTION_ROW = struct.Struct(">qI")  # (cycle, ref)
+PROOF_ROW = struct.Struct(">BIII")  # (kind, culprit key, first ref, second ref)
+STASH_ROW = struct.Struct(">Iq")  # (ref, target age)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +119,11 @@ class RngStreamState:
 
 @dataclass(frozen=True)
 class RegistryState:
-    """The key registry's prefix-trust cache, in insertion order."""
+    """A run of the key registry's prefix-trust cache, in insertion order.
+
+    The cache grows with the run, so it is written as consecutive
+    chunks; the reader concatenates them.
+    """
 
     trusted_digests: Tuple[bytes, ...]
 
@@ -135,10 +165,38 @@ class PeerHealthState:
 
 @dataclass(frozen=True)
 class BlobState:
-    """An opaque (pickled) payload for heterogeneous bookkeeping."""
+    """A piece of an opaque (pickled) payload; a slot's pieces concatenate."""
 
     slot: str
     payload: bytes
+
+
+@dataclass(frozen=True)
+class KeyTableChunk:
+    """Key-table entries ``first`` onwards: node ids other records index."""
+
+    first: int
+    keys: Tuple[Any, ...]
+
+
+@dataclass(frozen=True)
+class DescriptorTableChunk:
+    """Descriptor-table entries ``first`` to ``first + count - 1``.
+
+    ``records`` is the entries' canonical descriptor records, each
+    u32-length-prefixed, back to back — the layout the wire uses for a
+    descriptor list, so :meth:`~repro.core.codec_batch.FastDecoder.
+    decode_descriptor_run` reads it in place.  ``descriptors`` is not
+    encoded: :func:`~repro.ops.checkpoint.read_checkpoint` fills it with
+    the decoded entries.
+    """
+
+    first: int
+    count: int
+    records: bytes
+    descriptors: Tuple[SecureDescriptor, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +207,8 @@ class NodeState:
     family (``secure``/``secure-hub``/``cloning``) uses the view/
     cache/blacklist groups; the legacy family (``cyclon``/
     ``cyclon-hub``) uses the ``cyclon_*`` group.  Unused groups stay
-    at their defaults and are not encoded.
+    at their defaults and are not encoded.  *ref* fields index the
+    descriptor table, *key* fields the key table.
     """
 
     kind: str
@@ -161,20 +220,22 @@ class NodeState:
     nonswap_accepted: bool = False
     nonswap_redeemed: Tuple[float, ...] = ()
     redeemed_own: Tuple[float, ...] = ()
-    #: ``(descriptor, non_swappable)`` in view order.
-    view_entries: Tuple[Tuple[SecureDescriptor, bool], ...] = ()
-    #: ``(creator, ((timestamp, descriptor), ...))`` in cache order.
-    samples: Tuple[Tuple[Any, Tuple[Tuple[float, SecureDescriptor], ...]], ...] = ()
-    #: ``(expiry_cycle, creator, timestamp)`` in deque order.
-    sample_expiry: Tuple[Tuple[int, Any, float], ...] = ()
-    #: ``(cycle, descriptor)`` in redemption-cache order.
-    redemptions: Tuple[Tuple[int, SecureDescriptor], ...] = ()
-    #: Blacklist proofs in discovery order.
-    proofs: Tuple[ViolationProof, ...] = ()
+    #: ``(ref, non_swappable)`` in view order.
+    view_entries: Tuple[Tuple[int, bool], ...] = ()
+    #: ``(creator key, sample count)`` per cache slot, in cache order.
+    sample_slots: Tuple[Tuple[int, int], ...] = ()
+    #: ``(timestamp, ref)`` of every cached sample, slot by slot.
+    sample_pairs: Tuple[Tuple[float, int], ...] = ()
+    #: ``(expiry_cycle, creator key, timestamp)`` in deque order.
+    sample_expiry: Tuple[Tuple[int, int, float], ...] = ()
+    #: ``(cycle, ref)`` in redemption-cache order.
+    redemptions: Tuple[Tuple[int, int], ...] = ()
+    #: ``(kind, culprit key, first ref, second ref)`` in discovery order.
+    proofs: Tuple[Tuple[int, int, int, int], ...] = ()
     # --- adversary extras ---------------------------------------------
-    cycle_mint: Optional[SecureDescriptor] = None
-    #: ``(descriptor, target_age)`` stash of a cloning attacker.
-    stash: Tuple[Tuple[SecureDescriptor, int], ...] = ()
+    cycle_mint: Optional[int] = None
+    #: ``(ref, target_age)`` stash of a cloning attacker.
+    stash: Tuple[Tuple[int, int], ...] = ()
     #: ``(creator, timestamp, age_at_duplication, cycle)`` clone log.
     clone_events: Tuple[Tuple[Any, float, int, int], ...] = ()
     # --- legacy-Cyclon family -----------------------------------------
@@ -187,11 +248,11 @@ class NodeState:
 
 @dataclass(frozen=True)
 class CoordinatorState:
-    """A malicious coordinator's descriptor pool and circulation map."""
+    """A malicious coordinator's descriptor pool and circulation map (refs)."""
 
     pool_maxlen: Optional[int]
-    pool: Tuple[SecureDescriptor, ...]
-    circulating: Tuple[SecureDescriptor, ...]
+    pool: Tuple[int, ...]
+    circulating: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -238,6 +299,15 @@ def _read_node_ref(reader: MessageReader) -> Any:
     raise CodecError(f"unknown node id tag {tag}")
 
 
+def node_ref_size(node_id: Any) -> int:
+    """Encoded size of :func:`_write_node_ref` (chunking arithmetic)."""
+    if isinstance(node_id, PublicKey):
+        return 33
+    if isinstance(node_id, str):
+        return 3 + len(node_id.encode("utf-8"))
+    return 9
+
+
 def _write_optional_i64(writer: MessageWriter, value: Optional[int]) -> None:
     if value is None:
         writer.u8(0)
@@ -262,14 +332,31 @@ def _read_optional_f64(reader: MessageReader) -> Optional[float]:
     return reader.f64() if reader.u8() else None
 
 
-def _write_f64_list(writer: MessageWriter, values: Tuple[float, ...]) -> None:
-    writer.u32(len(values))
-    for value in values:
-        writer.f64(value)
+def _write_run(writer: MessageWriter, row: struct.Struct, rows) -> None:
+    """A packed run of tuples: u32 byte length, then the rows."""
+    try:
+        writer.blob(b"".join(starmap(row.pack, rows)))
+    except struct.error as exc:
+        raise CodecError(f"value out of range for {row.format!r} rows: {exc}") from None
 
 
-def _read_f64_tuple(reader: MessageReader) -> Tuple[float, ...]:
-    return tuple(reader.f64() for _ in range(reader.u32()))
+def _write_column(writer: MessageWriter, row: struct.Struct, values) -> None:
+    """A packed run of single values (one-field rows)."""
+    _write_run(writer, row, zip(values))
+
+
+def _read_run(reader: MessageReader, row: struct.Struct) -> Tuple[tuple, ...]:
+    raw = reader.blob()
+    if len(raw) % row.size:
+        raise CodecError(
+            f"packed run of {len(raw)} bytes is not a multiple of its "
+            f"{row.size}-byte rows"
+        )
+    return tuple(row.iter_unpack(raw))
+
+
+def _read_column(reader: MessageReader, row: struct.Struct) -> Tuple[Any, ...]:
+    return tuple(value for (value,) in _read_run(reader, row))
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +395,10 @@ def _encode_rng(writer: MessageWriter, record: RngStreamState) -> None:
     writer.string(record.name)
     writer.u8(version)
     writer.u32(len(internal))
-    for word in internal:
-        writer.u32(word)
+    try:
+        writer.raw(struct.pack(f">{len(internal)}I", *internal))
+    except struct.error as exc:
+        raise CodecError(f"RNG state word out of u32 range: {exc}") from None
     _write_optional_f64(writer, gauss_next)
 
 
@@ -318,7 +407,8 @@ def _decode_rng(reader: MessageReader) -> RngStreamState:
     version = reader.u8()
     if version != _MT_VERSION:
         raise CodecError(f"unknown RNG state version {version}")
-    internal = tuple(reader.u32() for _ in range(reader.u32()))
+    count = reader.u32()
+    internal = struct.unpack(f">{count}I", reader.fixed(4 * count))
     gauss_next = _read_optional_f64(reader)
     return RngStreamState(name=name, state=(version, internal, gauss_next))
 
@@ -446,6 +536,35 @@ def _decode_blob(reader: MessageReader) -> BlobState:
     return BlobState(slot=slot, payload=reader.blob())
 
 
+def _encode_key_table(writer: MessageWriter, record: KeyTableChunk) -> None:
+    writer.u32(record.first)
+    writer.u32(len(record.keys))
+    for key in record.keys:
+        _write_node_ref(writer, key)
+
+
+def _decode_key_table(reader: MessageReader) -> KeyTableChunk:
+    first = reader.u32()
+    return KeyTableChunk(
+        first=first,
+        keys=tuple(_read_node_ref(reader) for _ in range(reader.u32())),
+    )
+
+
+def _encode_descriptor_table(
+    writer: MessageWriter, record: DescriptorTableChunk
+) -> None:
+    writer.u32(record.first)
+    writer.u32(record.count)
+    writer.blob(record.records)
+
+
+def _decode_descriptor_table(reader: MessageReader) -> DescriptorTableChunk:
+    return DescriptorTableChunk(
+        first=reader.u32(), count=reader.u32(), records=reader.blob()
+    )
+
+
 def _write_cyclon_descriptor(
     writer: MessageWriter, descriptor: CyclonDescriptor
 ) -> None:
@@ -479,38 +598,20 @@ def _encode_node(writer: MessageWriter, record: NodeState) -> None:
     _write_optional_i64(writer, record.last_mint_cycle)
     _write_optional_f64(writer, record.last_mint_time_s)
     writer.u8(1 if record.nonswap_accepted else 0)
-    _write_f64_list(writer, record.nonswap_redeemed)
-    _write_f64_list(writer, record.redeemed_own)
-    writer.u16(len(record.view_entries))
-    for descriptor, non_swappable in record.view_entries:
-        writer.descriptor(descriptor)
-        writer.u8(1 if non_swappable else 0)
-    writer.u32(len(record.samples))
-    for creator, pairs in record.samples:
-        _write_node_ref(writer, creator)
-        writer.u32(len(pairs))
-        for timestamp, descriptor in pairs:
-            writer.f64(timestamp)
-            writer.descriptor(descriptor)
-    writer.u32(len(record.sample_expiry))
-    for expiry_cycle, creator, timestamp in record.sample_expiry:
-        writer.i64(expiry_cycle)
-        _write_node_ref(writer, creator)
-        writer.f64(timestamp)
-    writer.u16(len(record.redemptions))
-    for cycle, descriptor in record.redemptions:
-        writer.i64(cycle)
-        writer.descriptor(descriptor)
-    writer.proofs(record.proofs)
+    _write_column(writer, F64_ROW, record.nonswap_redeemed)
+    _write_column(writer, F64_ROW, record.redeemed_own)
+    _write_run(writer, VIEW_ROW, record.view_entries)
+    _write_run(writer, SLOT_ROW, record.sample_slots)
+    _write_run(writer, PAIR_ROW, record.sample_pairs)
+    _write_run(writer, EXPIRY_ROW, record.sample_expiry)
+    _write_run(writer, REDEMPTION_ROW, record.redemptions)
+    _write_run(writer, PROOF_ROW, record.proofs)
     if record.cycle_mint is None:
         writer.u8(0)
     else:
         writer.u8(1)
-        writer.descriptor(record.cycle_mint)
-    writer.u16(len(record.stash))
-    for descriptor, target_age in record.stash:
-        writer.descriptor(descriptor)
-        writer.i64(target_age)
+        writer.u32(record.cycle_mint)
+    _write_run(writer, STASH_ROW, record.stash)
     writer.u32(len(record.clone_events))
     for creator, timestamp, age, cycle in record.clone_events:
         _write_node_ref(writer, creator)
@@ -542,36 +643,22 @@ def _decode_node(reader: MessageReader) -> NodeState:
     last_mint_cycle = _read_optional_i64(reader)
     last_mint_time_s = _read_optional_f64(reader)
     nonswap_accepted = bool(reader.u8())
-    nonswap_redeemed = _read_f64_tuple(reader)
-    redeemed_own = _read_f64_tuple(reader)
+    nonswap_redeemed = _read_column(reader, F64_ROW)
+    redeemed_own = _read_column(reader, F64_ROW)
     view_entries = tuple(
-        (reader.descriptor(), bool(reader.u8()))
-        for _ in range(reader.u16())
+        (ref, bool(flag)) for ref, flag in _read_run(reader, VIEW_ROW)
     )
-    samples = tuple(
-        (
-            _read_node_ref(reader),
-            tuple(
-                (reader.f64(), reader.descriptor())
-                for _ in range(reader.u32())
-            ),
-        )
-        for _ in range(reader.u32())
-    )
-    sample_expiry = tuple(
-        (reader.i64(), _read_node_ref(reader), reader.f64())
-        for _ in range(reader.u32())
-    )
-    redemptions = tuple(
-        (reader.i64(), reader.descriptor())
-        for _ in range(reader.u16())
-    )
-    proofs = reader.proofs()
-    cycle_mint = reader.descriptor() if reader.u8() else None
-    stash = tuple(
-        (reader.descriptor(), reader.i64())
-        for _ in range(reader.u16())
-    )
+    sample_slots = _read_run(reader, SLOT_ROW)
+    sample_pairs = _read_run(reader, PAIR_ROW)
+    if sum(count for _, count in sample_slots) != len(sample_pairs):
+        raise CodecError("sample slots disagree with the sample count")
+    sample_expiry = _read_run(reader, EXPIRY_ROW)
+    redemptions = _read_run(reader, REDEMPTION_ROW)
+    proofs = _read_run(reader, PROOF_ROW)
+    if any(proof[0] >= len(PROOF_TYPES) for proof in proofs):
+        raise CodecError("unknown proof kind code")
+    cycle_mint = reader.u32() if reader.u8() else None
+    stash = _read_run(reader, STASH_ROW)
     clone_events = tuple(
         (_read_node_ref(reader), reader.f64(), reader.i64(), reader.i64())
         for _ in range(reader.u32())
@@ -586,7 +673,8 @@ def _decode_node(reader: MessageReader) -> NodeState:
         nonswap_redeemed=nonswap_redeemed,
         redeemed_own=redeemed_own,
         view_entries=view_entries,
-        samples=samples,
+        sample_slots=sample_slots,
+        sample_pairs=sample_pairs,
         sample_expiry=sample_expiry,
         redemptions=redemptions,
         proofs=proofs,
@@ -600,21 +688,15 @@ def _encode_coordinator(
     writer: MessageWriter, record: CoordinatorState
 ) -> None:
     _write_optional_i64(writer, record.pool_maxlen)
-    writer.u16(len(record.pool))
-    for descriptor in record.pool:
-        writer.descriptor(descriptor)
-    writer.u16(len(record.circulating))
-    for descriptor in record.circulating:
-        writer.descriptor(descriptor)
+    _write_column(writer, REF_ROW, record.pool)
+    _write_column(writer, REF_ROW, record.circulating)
 
 
 def _decode_coordinator(reader: MessageReader) -> CoordinatorState:
     return CoordinatorState(
         pool_maxlen=_read_optional_i64(reader),
-        pool=tuple(reader.descriptor() for _ in range(reader.u16())),
-        circulating=tuple(
-            reader.descriptor() for _ in range(reader.u16())
-        ),
+        pool=_read_column(reader, REF_ROW),
+        circulating=_read_column(reader, REF_ROW),
     )
 
 
@@ -639,3 +721,12 @@ register_message_codec(
     CoordinatorState, CODE_COORDINATOR, _encode_coordinator, _decode_coordinator
 )
 register_message_codec(CheckpointFooter, CODE_FOOTER, _encode_footer, _decode_footer)
+register_message_codec(
+    KeyTableChunk, CODE_KEY_TABLE, _encode_key_table, _decode_key_table
+)
+register_message_codec(
+    DescriptorTableChunk,
+    CODE_DESCRIPTOR_TABLE,
+    _encode_descriptor_table,
+    _decode_descriptor_table,
+)

@@ -1,37 +1,47 @@
 """Fuzz and round-trip coverage for the checkpoint record codecs.
 
-The checkpoint plane's records (codes 32–40) are codec extensions like
+The checkpoint plane's records (codes 32–42) are codec extensions like
 the dialogue messages, so they get the same treatment the wire codecs
 get in ``tests/properties/test_codec_roundtrip.py``: every record type
 round-trips exactly, and truncations, bit flips, garbage, unknown
 version tags, and malformed files surface as the typed
 :class:`~repro.errors.CodecError` / :class:`~repro.errors.CheckpointError`
-— never ``struct.error`` or a silent wrong answer.
+— never ``struct.error`` or a silent wrong answer.  File-level damage
+to the table structure (dangling references, chunks out of sequence,
+a body record ahead of its table, a frame over the ceiling) is
+rejected before a restore touches the engine.
 """
 
+import hashlib
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import decode_message, encode_message
+from repro.core.codec import MAX_FRAME_BYTES, decode_message, encode_message
 from repro.core.descriptor import mint
-from repro.core.proofs import build_cloning_proof
 from repro.crypto.registry import KeyRegistry
 from repro.cyclon.descriptor import CyclonDescriptor
 from repro.errors import CheckpointError, CodecError
+from repro.experiments.scenarios import build_secure_overlay
 from repro.ops.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
+    descriptor_table,
     read_checkpoint,
+    restore_checkpoint,
     save_checkpoint,
 )
 from repro.ops.records import (
+    PAIR_ROW,
     BlobState,
     CheckpointFooter,
     CheckpointHeader,
     CoordinatorState,
+    DescriptorTableChunk,
+    KeyTableChunk,
     NetworkState,
     NodeState,
     PeerHealthState,
@@ -66,22 +76,6 @@ def descriptors(draw):
 
 
 @st.composite
-def proofs(draw):
-    base = draw(descriptors())
-    owner_index = next(
-        index
-        for index, keypair in enumerate(_KEYPAIRS)
-        if keypair.public == base.current_owner
-    )
-    owner = _KEYPAIRS[owner_index]
-    branch_a = base.transfer(owner, _KEYPAIRS[(owner_index + 1) % 5].public)
-    branch_b = base.transfer(owner, _KEYPAIRS[(owner_index + 2) % 5].public)
-    proof = build_cloning_proof(branch_a, branch_b)
-    assert proof is not None
-    return proof
-
-
-@st.composite
 def node_refs(draw):
     tag = draw(st.integers(0, 2))
     if tag == 0:
@@ -108,6 +102,8 @@ def secure_node_states(draw):
             max_size=3,
         )
     )
+    refs = st.integers(0, 2**32 - 1)
+    slot_sizes = draw(st.lists(st.integers(0, 3), max_size=3))
     return NodeState(
         kind=kind,
         node_id=draw(node_refs()),
@@ -123,31 +119,32 @@ def secure_node_states(draw):
         nonswap_redeemed=tuple(sorted(timestamps)),
         redeemed_own=tuple(sorted(timestamps)),
         view_entries=tuple(
-            (d, draw(st.booleans()))
-            for d in draw(st.lists(descriptors(), max_size=3))
+            (ref, draw(st.booleans()))
+            for ref in draw(st.lists(refs, max_size=3))
         ),
-        samples=tuple(
-            (
-                draw(node_refs()),
-                tuple((d.timestamp, d) for d in group),
-            )
-            for group in draw(
-                st.lists(st.lists(descriptors(), max_size=2), max_size=2)
-            )
+        sample_slots=tuple(
+            (draw(refs), size) for size in slot_sizes
+        ),
+        sample_pairs=tuple(
+            (draw(st.floats(allow_nan=False)), draw(refs))
+            for _ in range(sum(slot_sizes))
         ),
         sample_expiry=tuple(
-            (draw(st.integers(0, 10_000)), draw(node_refs()), ts)
+            (draw(st.integers(0, 2**32 - 1)), draw(refs), ts)
             for ts in timestamps
         ),
         redemptions=tuple(
-            (draw(st.integers(0, 10_000)), d)
-            for d in draw(st.lists(descriptors(), max_size=2))
+            (draw(st.integers(-(2**63), 2**63 - 1)), ref)
+            for ref in draw(st.lists(refs, max_size=2))
         ),
-        proofs=tuple(draw(st.lists(proofs(), max_size=2))),
-        cycle_mint=draw(st.one_of(st.none(), descriptors())),
+        proofs=tuple(
+            (draw(st.integers(0, 1)), draw(refs), draw(refs), draw(refs))
+            for _ in range(draw(st.integers(0, 2)))
+        ),
+        cycle_mint=draw(st.one_of(st.none(), refs)),
         stash=tuple(
-            (d, draw(st.integers(0, 100)))
-            for d in draw(st.lists(descriptors(), max_size=2))
+            (ref, draw(st.integers(0, 100)))
+            for ref in draw(st.lists(refs, max_size=2))
         ),
         clone_events=tuple(
             (d.creator, d.timestamp, draw(st.integers(0, 100)), cycle)
@@ -185,7 +182,7 @@ def cyclon_node_states(draw):
 
 @st.composite
 def records(draw):
-    kind = draw(st.integers(0, 9))
+    kind = draw(st.integers(0, 11))
     if kind == 0:
         return CheckpointHeader(
             format_version=draw(st.integers(0, 2**16 - 1)),
@@ -279,11 +276,20 @@ def records(draw):
     if kind == 7:
         return draw(cyclon_node_states())
     if kind == 8:
+        refs = st.lists(st.integers(0, 2**32 - 1), max_size=3)
         return CoordinatorState(
             pool_maxlen=draw(st.one_of(st.none(), st.integers(1, 1000))),
-            pool=tuple(draw(st.lists(descriptors(), max_size=2))),
-            circulating=tuple(draw(st.lists(descriptors(), max_size=2))),
+            pool=tuple(draw(refs)),
+            circulating=tuple(draw(refs)),
         )
+    if kind == 9:
+        return KeyTableChunk(
+            first=draw(st.integers(0, 2**32 - 1)),
+            keys=tuple(draw(st.lists(node_refs(), max_size=4))),
+        )
+    if kind == 10:
+        (chunk,) = descriptor_table(draw(st.lists(descriptors(), max_size=3)))
+        return replace(chunk, first=draw(st.integers(0, 2**32 - 1)))
     return CheckpointFooter(record_count=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -347,15 +353,68 @@ def test_unknown_node_kind_rejected():
 # ----------------------------------------------------------------------
 
 
+def _build():
+    return build_secure_overlay(n=12, malicious=2, seed=5)
+
+
 @pytest.fixture(scope="module")
 def checkpoint_file(tmp_path_factory):
-    from repro.experiments.scenarios import build_secure_overlay
-
-    overlay = build_secure_overlay(n=12, malicious=2, seed=5)
+    overlay = _build()
     overlay.run(3)
     path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
     save_checkpoint(overlay.engine, path)
     return path
+
+
+def _write(path, records):
+    """Frame records (or already encoded frames) plus a matching footer."""
+    frames = [r if isinstance(r, bytes) else encode_message(r) for r in records]
+    frames.append(encode_message(CheckpointFooter(record_count=len(frames) + 1)))
+    path.write_bytes(
+        MAGIC + b"".join(struct.pack(">I", len(f)) + f for f in frames)
+    )
+    return path
+
+
+def _engine_digest(engine):
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(engine.clock.cycle).encode())
+    digest.update(repr(sorted(engine.rng_hub.stream_states().items())).encode())
+    for node_id, node in engine.nodes.items():
+        digest.update(node_id.digest)
+        for entry in node.view:
+            digest.update(
+                entry.creator.digest
+                + struct.pack("<d?", entry.timestamp, entry.non_swappable)
+            )
+        digest.update(
+            struct.pack("<II", len(node.sample_cache), len(node.blacklist))
+        )
+    return digest.hexdigest()
+
+
+def _assert_rejected(path, match):
+    """Typed rejection by the reader, and by a restore that then leaves
+    the freshly built twin exactly as it was."""
+    with pytest.raises(CheckpointError, match=match):
+        read_checkpoint(path)
+    twin = _build().engine
+    before = _engine_digest(twin)
+    with pytest.raises(CheckpointError, match=match):
+        restore_checkpoint(twin, path)
+    assert _engine_digest(twin) == before
+
+
+def _body(checkpoint_file):
+    """The file's records without the footer, and the descriptor-table
+    size."""
+    body = read_checkpoint(checkpoint_file)[:-1]
+    entries = sum(r.count for r in body if isinstance(r, DescriptorTableChunk))
+    return body, entries
+
+
+def _index(body, predicate):
+    return next(i for i, record in enumerate(body) if predicate(record))
 
 
 def test_file_roundtrip_parses(checkpoint_file):
@@ -445,6 +504,144 @@ def test_missing_footer_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         read_checkpoint(tmp_path / "nope.ckpt")
+
+
+def test_version_1_file_rejected_naming_both_versions(tmp_path):
+    header = CheckpointHeader(
+        format_version=1,
+        master_seed=0,
+        cycle=0,
+        now_s=0.0,
+        period_s=10.0,
+        node_count=1,
+    )
+    # A node frame laid out the way version 1 embedded descriptors: it
+    # does not parse as a version-2 record, and must not need to.
+    v1_node = bytes([38]) + b"\x00" * 40
+    path = _write(tmp_path / "v1.ckpt", [header, v1_node])
+    with pytest.raises(
+        CheckpointError, match=rf"version 1 .*version {FORMAT_VERSION}"
+    ):
+        read_checkpoint(path)
+
+
+def test_frame_over_the_ceiling_rejected_before_parsing(tmp_path, checkpoint_file):
+    data = bytearray(checkpoint_file.read_bytes())
+    struct.pack_into(">I", data, len(MAGIC), MAX_FRAME_BYTES + 1)
+    path = tmp_path / "oversize.ckpt"
+    path.write_bytes(bytes(data))
+    _assert_rejected(path, "ceiling")
+
+
+def test_save_refuses_a_frame_over_the_ceiling(tmp_path, monkeypatch):
+    import repro.ops.checkpoint as checkpoint
+
+    # An RNG stream record is ~2.5 KB; no chunking can split it.
+    monkeypatch.setattr(checkpoint, "MAX_FRAME_BYTES", 1024)
+    with pytest.raises(CheckpointError, match="ceiling"):
+        save_checkpoint(_build().engine, tmp_path / "never.ckpt")
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_dangling_table_reference_rejected(tmp_path, checkpoint_file):
+    body, entries = _body(checkpoint_file)
+    at = _index(body, lambda r: isinstance(r, NodeState) and r.view_entries)
+    node = body[at]
+    body[at] = replace(
+        node, view_entries=((entries, False),) + node.view_entries[1:]
+    )
+    _assert_rejected(
+        _write(tmp_path / "dangling.ckpt", body), "descriptor-table entry"
+    )
+
+
+def test_out_of_range_key_reference_rejected(tmp_path, checkpoint_file):
+    body, _ = _body(checkpoint_file)
+    keys = sum(len(r.keys) for r in body if isinstance(r, KeyTableChunk))
+    at = _index(body, lambda r: isinstance(r, NodeState) and r.sample_slots)
+    node = body[at]
+    _, count = node.sample_slots[0]
+    body[at] = replace(
+        node, sample_slots=((keys, count),) + node.sample_slots[1:]
+    )
+    _assert_rejected(_write(tmp_path / "key.ckpt", body), "key-table entry")
+
+
+def test_node_record_ahead_of_its_table_rejected(tmp_path, checkpoint_file):
+    body, _ = _body(checkpoint_file)
+    node = body.pop(
+        _index(body, lambda r: isinstance(r, NodeState) and r.view_entries)
+    )
+    body.insert(_index(body, lambda r: isinstance(r, DescriptorTableChunk)), node)
+    _assert_rejected(
+        _write(tmp_path / "early.ckpt", body), "descriptor-table entry"
+    )
+
+
+def _split_table(body, monkeypatch):
+    """Re-chunk the descriptor table into at least three chunks."""
+    import repro.ops.checkpoint as checkpoint
+
+    at = _index(body, lambda r: isinstance(r, DescriptorTableChunk))
+    chunk = body[at]
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "_CHUNK_BUDGET", len(chunk.records) // 3)
+        pieces = descriptor_table(chunk.descriptors)
+    assert len(pieces) >= 3
+    return at, pieces
+
+
+def test_chunked_table_reads_back_whole(tmp_path, checkpoint_file, monkeypatch):
+    body, entries = _body(checkpoint_file)
+    original = body[_index(body, lambda r: isinstance(r, DescriptorTableChunk))]
+    at, pieces = _split_table(body, monkeypatch)
+    body[at : at + 1] = pieces
+    path = _write(tmp_path / "split.ckpt", body)
+    table = [
+        descriptor
+        for record in read_checkpoint(path)
+        if isinstance(record, DescriptorTableChunk)
+        for descriptor in record.descriptors
+    ]
+    assert len(table) == entries
+    assert table == list(original.descriptors)
+    twin = _build().engine
+    restore_checkpoint(twin, path)
+    reference = _build().engine
+    restore_checkpoint(reference, checkpoint_file)
+    assert _engine_digest(twin) == _engine_digest(reference)
+
+
+@pytest.mark.parametrize("damage", ["duplicated", "missing"])
+def test_table_chunk_out_of_sequence_rejected(
+    tmp_path, checkpoint_file, monkeypatch, damage
+):
+    body, _ = _body(checkpoint_file)
+    at, pieces = _split_table(body, monkeypatch)
+    if damage == "duplicated":
+        pieces.insert(2, pieces[1])
+    else:
+        del pieces[1]
+    body[at : at + 1] = pieces
+    _assert_rejected(
+        _write(tmp_path / f"{damage}.ckpt", body),
+        "duplicated, missing or out of order",
+    )
+
+
+def test_ragged_packed_run_rejected(tmp_path, checkpoint_file):
+    body, _ = _body(checkpoint_file)
+    at = _index(body, lambda r: isinstance(r, NodeState) and r.sample_pairs)
+    node = body[at]
+    frame = encode_message(node)
+    run = b"".join(PAIR_ROW.pack(*pair) for pair in node.sample_pairs)
+    framed = struct.pack(">I", len(run)) + run
+    assert frame.count(framed) == 1
+    ragged = frame.replace(framed, struct.pack(">I", len(run) - 1) + run[:-1])
+    with pytest.raises(CodecError, match="multiple"):
+        decode_message(ragged)
+    body[at] = ragged
+    _assert_rejected(_write(tmp_path / "ragged.ckpt", body), "multiple")
 
 
 def test_checkpoint_error_is_a_codec_error():

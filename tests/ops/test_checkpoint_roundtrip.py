@@ -4,22 +4,41 @@ Equality of dataclasses is necessary but not sufficient for the resume
 contract: a descriptor that decodes equal but verifies differently (or
 a proof that validates differently) would silently corrupt blacklists
 after a resume.  These properties pin behaviour: for every descriptor
-and proof carried through a checkpoint record, verification against a
+and proof carried through a checkpoint file — descriptor table, key
+table and the body records referencing them, read back by
+:func:`~repro.ops.checkpoint.read_checkpoint` — verification against a
 *fresh* registry (no memos, no prefix-trust cache) gives the same
-verdict before and after the round trip — including for proofs doctored
+verdict before and after the round trip, including for proofs doctored
 to be invalid.
 """
 
 import dataclasses
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import decode_message, encode_message
+from repro.core.codec import encode_message
 from repro.core.descriptor import mint, verify_descriptor
 from repro.core.proofs import build_cloning_proof, build_frequency_proof
+from repro.core.wire import PROOF_TYPES
 from repro.crypto.registry import KeyRegistry
-from repro.ops.records import CoordinatorState, NodeState
+from repro.ops.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
+    descriptor_table,
+    read_checkpoint,
+)
+from repro.ops.records import (
+    CheckpointFooter,
+    CheckpointHeader,
+    CoordinatorState,
+    DescriptorTableChunk,
+    KeyTableChunk,
+    NodeState,
+)
 from repro.sim.network import NetworkAddress
 
 PERIOD = 10.0
@@ -108,24 +127,66 @@ def frequency_proofs(draw):
     return proof
 
 
+def _through_file(descriptors, keys=(), body=()):
+    """Write ``descriptors`` and ``keys`` as a checkpoint's tables, with
+    ``body`` records after them, and read the file back.
+
+    Returns the decoded descriptor table, the key table and the body
+    records as :func:`read_checkpoint` hands them to a restore.
+    """
+    records = [
+        CheckpointHeader(
+            format_version=FORMAT_VERSION,
+            master_seed=0,
+            cycle=0,
+            now_s=0.0,
+            period_s=PERIOD,
+            node_count=0,
+        ),
+        KeyTableChunk(first=0, keys=tuple(keys)),
+        *descriptor_table(descriptors),
+        *body,
+    ]
+    records.append(CheckpointFooter(record_count=len(records) + 1))
+    frames = [encode_message(record) for record in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "roundtrip.ckpt"
+        path.write_bytes(
+            MAGIC + b"".join(struct.pack(">I", len(f)) + f for f in frames)
+        )
+        read = read_checkpoint(path)
+    table = [
+        descriptor
+        for record in read
+        if isinstance(record, DescriptorTableChunk)
+        for descriptor in record.descriptors
+    ]
+    key_table = [
+        key
+        for record in read
+        if isinstance(record, KeyTableChunk)
+        for key in record.keys
+    ]
+    decoded = [
+        record
+        for record in read
+        if isinstance(record, (NodeState, CoordinatorState))
+    ]
+    return table, key_table, decoded
+
+
 @given(descriptor=descriptors())
 @settings(max_examples=100, deadline=None)
 def test_descriptor_roundtrip_verifies_identically(descriptor):
-    record = NodeState(
-        kind="secure",
-        node_id=_KEYPAIRS[0].public,
-        current_cycle=0,
-        view_entries=((descriptor, False),),
-    )
-    decoded = decode_message(encode_message(record))
-    restored = decoded.view_entries[0][0]
+    (restored,), _, _ = _through_file([descriptor])
+    # The restored object is a distinct instance with no carried-over
+    # verification memo — behaviour, not cache, must match.
+    assert restored is not descriptor
+    assert restored._verified_by is None
     assert restored == descriptor
     assert verify_descriptor(restored, _fresh_registry()) == verify_descriptor(
         descriptor, _fresh_registry()
     )
-    # The restored object is a distinct instance with no carried-over
-    # verification memo — behaviour, not cache, must match.
-    assert restored is not descriptor
 
 
 @given(proof=st.one_of(cloning_proofs(), frequency_proofs()))
@@ -135,10 +196,15 @@ def test_proof_roundtrip_validates_identically(proof):
         kind="secure",
         node_id=_KEYPAIRS[0].public,
         current_cycle=0,
-        proofs=(proof,),
+        proofs=((PROOF_TYPES.index(type(proof)), 0, 0, 1),),
     )
-    decoded = decode_message(encode_message(record))
-    (restored,) = decoded.proofs
+    table, keys, (decoded,) = _through_file(
+        [proof.first, proof.second], [proof.culprit], [record]
+    )
+    ((kind, culprit, first, second),) = decoded.proofs
+    restored = PROOF_TYPES[kind](
+        first=table[first], second=table[second], culprit=keys[culprit]
+    )
     assert restored == proof
     assert restored.validate(_fresh_registry(), PERIOD) == proof.validate(
         _fresh_registry(), PERIOD
@@ -148,12 +214,12 @@ def test_proof_roundtrip_validates_identically(proof):
 @given(pool=st.lists(descriptors(), max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_coordinator_pool_roundtrip_verifies_identically(pool):
-    record = CoordinatorState(
-        pool_maxlen=64, pool=tuple(pool), circulating=tuple(pool)
-    )
-    decoded = decode_message(encode_message(record))
+    refs = tuple(range(len(pool)))
+    record = CoordinatorState(pool_maxlen=64, pool=refs, circulating=refs)
+    table, _, (decoded,) = _through_file(pool, body=[record])
     assert decoded == record
-    for original, restored in zip(pool, decoded.pool):
+    for original, ref in zip(pool, decoded.pool):
+        restored = table[ref]
         assert verify_descriptor(
             restored, _fresh_registry()
         ) == verify_descriptor(original, _fresh_registry())
@@ -172,17 +238,19 @@ def test_sample_cache_entries_roundtrip_verifies_identically(samples, data):
         kind="secure",
         node_id=_KEYPAIRS[0].public,
         current_cycle=data.draw(st.integers(0, 1000)),
-        samples=(
-            (
-                samples[0].creator,
-                tuple((d.timestamp, d) for d in samples),
-            ),
+        sample_slots=((0, len(samples)),),
+        sample_pairs=tuple(
+            (descriptor.timestamp, ref)
+            for ref, descriptor in enumerate(samples)
         ),
     )
-    decoded = decode_message(encode_message(record))
-    for (_, original), (_, restored) in zip(
-        record.samples[0][1], decoded.samples[0][1]
-    ):
+    table, keys, (decoded,) = _through_file(
+        samples, [samples[0].creator], [record]
+    )
+    assert keys == [samples[0].creator]
+    for (timestamp, ref), original in zip(decoded.sample_pairs, samples):
+        restored = table[ref]
+        assert timestamp == original.timestamp
         assert verify_descriptor(
             restored, _fresh_registry()
         ) == verify_descriptor(original, _fresh_registry())

@@ -268,10 +268,13 @@ def test_cli_inspect_summarises_checkpoint(tmp_path):
     buffer = io.StringIO()
     assert ops_main(["inspect", str(path)], out=buffer) == 0
     summary = json.loads(buffer.getvalue())
-    assert summary["format_version"] == 1
+    assert summary["format_version"] == 2
     assert summary["cycle"] == 2
     assert summary["master_seed"] == 7
     assert summary["node_kinds"]["secure"] > 0
+    table = summary["descriptor_table"]
+    assert 0 < table["entries"] < table["references"]
+    assert table["dedupe_ratio"] == table["references"] / table["entries"]
 
     assert ops_main(["inspect", str(tmp_path / "nope.ckpt")],
                     out=io.StringIO()) == 1
