@@ -13,9 +13,14 @@ same accept/reject set, a fraction of the work:
   per-descriptor record memo catches the heavier redundancy below the
   message level: the same descriptor object is embedded in several
   frames per cycle (a reply here, a bulk swap there), and its record
-  bytes never change.  Both memos key on ``id()`` **and keep a strong
-  reference to the keyed object in the value**, so a garbage-collected
-  id can never alias a new object into stale bytes.
+  bytes never change.  A proofs-section memo does the same for the
+  retained-proof list every opening and reply carries (§IV-C): a
+  node's blacklist hands out one tuple per version, so the whole
+  section is serialised once per blacklist version per cycle, and each
+  proof record is assembled from the descriptor record memo.  All three
+  memos key on ``id()`` **and keep a strong reference to the keyed
+  object in the value**, so a garbage-collected id can never alias a
+  new object into stale bytes.
   :meth:`BatchEncoder.encode_frames` frames a whole fan-out into one
   ``bytearray`` as length-prefixed frames.
 
@@ -24,9 +29,9 @@ same accept/reject set, a fraction of the work:
   intermediate per-record slicing through the reference reader (the
   reference path slices every embedded record out of the frame and then
   re-slices every field out of the record).  Built-in message types 1–8
-  are decoded inline; extension-registry frames fall back to the
-  reference decoder, so registered protocols keep exactly their own
-  decode semantics.
+  are decoded inline, proof records included; extension-registry frames
+  fall back to the reference decoder, so registered protocols keep
+  exactly their own decode semantics.
 
 * :class:`InternTable` — the wire atoms that repeat in nearly every
   frame of a cycle (creator/owner public keys, whole ownership hops,
@@ -34,20 +39,24 @@ same accept/reject set, a fraction of the work:
   per distinct byte-run and shared, analogous to the
   :class:`~repro.crypto.batch.VerificationPlan` digest memo.  Interning
   is *content-addressed* and therefore safe for value objects — keys,
-  hops, identities carry no per-receiver state.  Whole descriptors are
-  **never** interned: each receiver must hold its own
-  :class:`~repro.core.descriptor.SecureDescriptor` instance (its lazy
-  digest slots and the wire-mode no-shared-objects contract pinned by
-  ``tests/sim/test_transport.py`` depend on it).
+  hops, identities carry no per-receiver state.  Whole descriptors and
+  proofs are **never** interned: each receiver must hold its own
+  :class:`~repro.core.descriptor.SecureDescriptor` and proof instances
+  (their lazy digest slots and the wire-mode no-shared-objects contract
+  pinned by ``tests/sim/test_transport.py`` depend on it).  What the
+  record-level maps keep is the parse result — field templates from
+  which a fresh shell is assembled per decode.
 
-Lifetime rules: the *id-keyed encode memos* are cycle-scoped —
-:meth:`BatchEncoder.begin_cycle` drops them at every cycle boundary
-(ticked from ``Network.health_tick``, which both schedulers call once
-per cycle) because their values pin strong references to live payload
-objects.  The *content-addressed* intern maps persist across cycles
-under hard size caps (clearing wholesale on overflow): a
-content-addressed entry can never go stale — the key *is* the bytes
-that produced the value — and retaining it lets the forward path
+Lifetime rules: the *id-keyed encode memos* (messages, descriptors,
+proofs sections) are cycle-scoped — :meth:`BatchEncoder.begin_cycle`
+drops them at every cycle boundary (ticked from
+``Network.health_tick``, which both schedulers call once per cycle)
+because their values pin strong references to live payload objects.
+The *content-addressed* intern maps (atoms, descriptor records, proof
+records) persist across cycles under hard size caps (clearing
+wholesale on overflow): a content-addressed entry can never go stale —
+the key *is* the bytes that produced the value — and retaining it lets
+the forward path
 (receive in cycle *N*, re-send in cycle *N+1*) hit the table.  In both
 cases lifetime is for *boundedness only*: every entry is
 content-determined or identity-pinned, so correctness never depends on
@@ -77,6 +86,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.codec import (
     MAX_FRAME_BYTES,
     _TYPE_CODES,
+    _U8,
     _U16,
     _U32,
     decode_message,
@@ -97,16 +107,16 @@ from repro.core.exchange import (
     TransferMessage,
     TransferReply,
 )
+from repro.core.proofs import ViolationProof
 from repro.core.wire import (
     _BIRTH,
     _CODE_KINDS,
-    decode_proof,
+    PROOF_TYPES,
     encode_descriptor,
-    encode_proof,
 )
 from repro.crypto.keys import PublicKey
 from repro.crypto.signing import Signature
-from repro.errors import CodecError, DescriptorError, FrameOversizeError
+from repro.errors import CodecError, FrameOversizeError
 from repro.sim.network import NetworkAddress
 
 #: Domain tag for record-derived content keys (see module docstring):
@@ -121,6 +131,10 @@ _WIRE_KEY_PERSON = b"repro-wire-v1"
 _PRELUDE_BYTES = 48
 _HOP_BYTES = 65
 
+#: Proof record layout: kind byte + 32-byte culprit digest, then two
+#: u32-length-prefixed descriptor records filling the rest exactly.
+_PROOF_PRELUDE_BYTES = 33
+
 # Size caps (entries, not bytes).  Intern entries are small shared
 # value objects and memo entries one record/frame each; the caps exist
 # only as the no-cycle-tick fallback — a 10K-node cycle stays well
@@ -129,8 +143,10 @@ _KEY_INTERN_MAX = 1 << 17
 _HOP_INTERN_MAX = 1 << 17
 _BIRTH_INTERN_MAX = 1 << 16
 _RECORD_INTERN_MAX = 1 << 16
+_PROOF_INTERN_MAX = 1 << 14
 _DESCRIPTOR_MEMO_MAX = 1 << 16
 _MESSAGE_MEMO_MAX = 1 << 14
+_SECTION_MEMO_MAX = 1 << 14
 
 _blake2b = hashlib.blake2b
 _fill = object.__setattr__
@@ -160,6 +176,29 @@ def _build_descriptor(template: tuple) -> SecureDescriptor:
     return descriptor
 
 
+def _template(descriptor: SecureDescriptor) -> tuple:
+    """Inverse of :func:`_build_descriptor` for a freshly decoded shell."""
+    return (
+        descriptor.creator,
+        descriptor.address,
+        descriptor.timestamp,
+        descriptor.hops,
+        descriptor.identity,
+        descriptor._content_key,
+    )
+
+
+def _intern_key(keys: Dict[bytes, PublicKey], digest: bytes) -> PublicKey:
+    """The shared :class:`PublicKey` for a 32-byte digest."""
+    key = keys.get(digest)
+    if key is None:
+        key = PublicKey(digest)
+        if len(keys) >= _KEY_INTERN_MAX:
+            keys.clear()
+        keys[digest] = key
+    return key
+
+
 class InternTable:
     """Bounded content-addressed intern maps for repeated wire atoms.
 
@@ -182,7 +221,7 @@ class InternTable:
     fast path stays sound — and unverified garbage is rejected before
     any comparison runs, on both transports alike.
 
-    Two record-level maps sit above the atoms (views overlap heavily,
+    Three record-level maps sit above the atoms (views overlap heavily,
     so most records repeat many times per cycle):
 
     * ``records`` — whole validated descriptor record bytes → the
@@ -197,6 +236,12 @@ class InternTable:
       descriptor it received, collapsing the forward path's
       re-serialisation to one dict probe.  Safe because the record
       encoding is canonical: one content, one byte string.
+    * ``proofs`` — whole validated proof record bytes → ``(cls,
+      culprit, first_template, second_template)``.  Every opening and
+      reply re-delivers the sender's whole blacklist (§IV-C catch-up),
+      so under attack the same proof records arrive many times per
+      cycle; a hit assembles a fresh proof around two fresh descriptor
+      shells without parsing anything.
     """
 
     __slots__ = (
@@ -205,6 +250,7 @@ class InternTable:
         "hops",
         "records",
         "records_by_key",
+        "proofs",
         "hits",
         "misses",
         "_cycle",
@@ -216,6 +262,7 @@ class InternTable:
         self.hops: Dict[tuple, OwnershipHop] = {}
         self.records: Dict[bytes, tuple] = {}
         self.records_by_key: Dict[bytes, bytes] = {}
+        self.proofs: Dict[bytes, tuple] = {}
         self.hits = 0
         self.misses = 0
         self._cycle: Optional[int] = None
@@ -238,6 +285,7 @@ class InternTable:
         self.hops.clear()
         self.records.clear()
         self.records_by_key.clear()
+        self.proofs.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -251,6 +299,7 @@ class InternTable:
             "births": len(self.births),
             "hops": len(self.hops),
             "records": len(self.records),
+            "proofs": len(self.proofs),
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -269,6 +318,7 @@ class BatchEncoder:
     __slots__ = (
         "_messages",
         "_descriptors",
+        "_sections",
         "_by_content",
         "_buf",
         "_cycle",
@@ -285,6 +335,10 @@ class BatchEncoder:
         self._messages: Dict[int, Tuple[Any, bytes]] = {}
         # id(descriptor) -> (descriptor, record bytes), same contract.
         self._descriptors: Dict[int, Tuple[SecureDescriptor, bytes]] = {}
+        # id(proofs tuple) -> (tuple, whole proofs-section bytes), same
+        # contract.  Blacklist.add replaces its tuple, so each
+        # blacklist version is serialised once per cycle.
+        self._sections: Dict[int, Tuple[tuple, bytes]] = {}
         # content key -> record bytes.  When the encoder shares an
         # InternTable with the decoder (the wire transport wires them
         # together), re-sending a descriptor received this cycle hits
@@ -310,6 +364,7 @@ class BatchEncoder:
         self._cycle = cycle
         self._messages.clear()
         self._descriptors.clear()
+        self._sections.clear()
 
     # ------------------------------------------------------------------
     # encoding
@@ -390,7 +445,7 @@ class BatchEncoder:
         elif code in (6, 7):  # BulkSwapMessage / BulkSwapReply
             self._write_descriptors(buf, payload.descriptors)
         else:  # ProofFlood (code 8)
-            record = encode_proof(payload.proof)
+            record = self._proof_bytes(payload.proof)
             buf += _U32.pack(len(record))
             buf += record
         return bytes(buf)
@@ -408,11 +463,38 @@ class BatchEncoder:
             self._write_descriptor(buf, item)
 
     def _write_proofs(self, buf: bytearray, items: tuple) -> None:
-        buf += _U16.pack(len(items))
+        memo = self._sections
+        key = id(items)
+        entry = memo.get(key)
+        if entry is not None and entry[0] is items:
+            buf += entry[1]
+            return
+        pack_len = _U32.pack
+        parts = [_U16.pack(len(items))]
         for item in items:
-            record = encode_proof(item)
-            buf += _U32.pack(len(record))
-            buf += record
+            record = self._proof_bytes(item)
+            parts.append(pack_len(len(record)))
+            parts.append(record)
+        section = b"".join(parts)
+        if len(memo) >= _SECTION_MEMO_MAX:
+            memo.clear()
+        memo[key] = (items, section)
+        buf += section
+
+    def _proof_bytes(self, proof: ViolationProof) -> bytes:
+        """One proof record, as :func:`~repro.core.wire.encode_proof`."""
+        first = self._descriptor_bytes(proof.first)
+        second = self._descriptor_bytes(proof.second)
+        return b"".join(
+            (
+                _U8.pack(PROOF_TYPES.index(type(proof))),
+                proof.culprit.digest,
+                _U32.pack(len(first)),
+                first,
+                _U32.pack(len(second)),
+                second,
+            )
+        )
 
     def _descriptor_bytes(self, descriptor: SecureDescriptor) -> bytes:
         # Content-keyed probe first: a key (filled by the wire decoder
@@ -449,11 +531,11 @@ class BatchEncoder:
 class FastDecoder:
     """Zero-copy decoder for the built-in dialogue messages.
 
-    Walks the frame with one offset cursor; embedded descriptor records
-    are parsed in place (no intermediate record slice) and their atoms
-    resolved through the shared :class:`InternTable`.  The accept set
-    and the raised exception types match the reference decoder exactly
-    — the mutation-fuzz equivalence property in
+    Walks the frame with one offset cursor; embedded descriptor and
+    proof records are parsed in place (no intermediate record slice)
+    and their atoms resolved through the shared :class:`InternTable`.
+    The accept set and the raised exception types match the reference
+    decoder exactly — the mutation-fuzz equivalence property in
     ``tests/properties/test_codec_roundtrip.py`` pins both directions.
     """
 
@@ -550,18 +632,17 @@ class FastDecoder:
                 descriptors, offset = self._read_descriptors(data, offset, size)
                 message = BulkSwapReply(descriptors=descriptors)
             else:  # ProofFlood (code 8)
-                record, offset = self._read_blob(data, offset, size)
-                message = ProofFlood(proof=decode_proof(record))
+                proof, offset = self._read_proof(data, offset, size)
+                message = ProofFlood(proof=proof)
             if offset != size:
                 raise CodecError("trailing bytes after message")
             return message
         except CodecError:
             raise
-        except (ValueError, DescriptorError) as exc:
-            # Mirrors the reference dispatch wrapper exactly: the typed
-            # truncation errors above pass through untouched; what is
-            # left is invalid UTF-8 (ValueError) and corrupt proof
-            # records (DescriptorError from decode_proof).
+        except ValueError as exc:
+            # Mirrors the reference dispatch wrapper: the typed errors
+            # above pass through untouched; what is left is invalid
+            # UTF-8 in a reject reason.
             raise CodecError(f"malformed message bytes: {exc}") from exc
 
     def decode_frames(
@@ -607,17 +688,6 @@ class FastDecoder:
     # record parsing
     # ------------------------------------------------------------------
 
-    def _read_blob(
-        self, data: bytes, offset: int, size: int
-    ) -> Tuple[bytes, int]:
-        if offset + 4 > size:
-            raise CodecError("truncated u32 field")
-        (length,) = _U32.unpack_from(data, offset)
-        offset += 4
-        if length > size - offset:
-            raise CodecError("truncated record")
-        return data[offset : offset + length], offset + length
-
     def _read_descriptors(
         self, data: bytes, offset: int, size: int
     ) -> Tuple[Tuple[SecureDescriptor, ...], int]:
@@ -641,12 +711,63 @@ class FastDecoder:
         (count,) = _U16.unpack_from(data, offset)
         offset += 2
         items: list = []
+        append = items.append
+        read = self._read_proof
         for _ in range(count):
-            record, offset = self._read_blob(data, offset, size)
-            # Proofs carry violations — rare by construction — so they
-            # keep the reference record decoder.
-            items.append(decode_proof(record))
+            proof, offset = read(data, offset, size)
+            append(proof)
         return tuple(items), offset
+
+    def _read_proof(
+        self, data: bytes, offset: int, size: int
+    ) -> Tuple[ViolationProof, int]:
+        """Parse one length-prefixed proof record in place.
+
+        Accepts exactly the records :func:`~repro.core.wire.decode_proof`
+        accepts: a known kind byte, a 32-byte culprit, then two
+        length-prefixed descriptor records (parsed by
+        :meth:`_read_descriptor`) that fill the record exactly.
+        """
+        if offset + 4 > size:
+            raise CodecError("truncated u32 field")
+        (length,) = _U32.unpack_from(data, offset)
+        offset += 4
+        if length > size - offset:
+            raise CodecError("truncated record")
+        end = offset + length
+        intern = self.intern
+        record = data[offset:end]
+        entry = intern.proofs.get(record)
+        if entry is not None:
+            # Whole-record hit: a fresh proof around fresh descriptor
+            # shells, so receivers share no proof or verification state.
+            intern.hits += 1
+            self.descriptors_decoded += 2
+            cls, culprit, first, second = entry
+            return (
+                cls(
+                    first=_build_descriptor(first),
+                    second=_build_descriptor(second),
+                    culprit=culprit,
+                ),
+                end,
+            )
+        if length < _PROOF_PRELUDE_BYTES:
+            raise CodecError("truncated proof record")
+        kind = data[offset]
+        if kind >= len(PROOF_TYPES):
+            raise CodecError("unknown proof kind code")
+        cls = PROOF_TYPES[kind]
+        culprit = _intern_key(intern.keys, data[offset + 1 : offset + 33])
+        first, cursor = self._read_descriptor(data, offset + 33, end)
+        second, cursor = self._read_descriptor(data, cursor, end)
+        if cursor != end:
+            raise CodecError("trailing bytes after proof")
+        proofs = intern.proofs
+        if len(proofs) >= _PROOF_INTERN_MAX:
+            proofs.clear()
+        proofs[record] = (cls, culprit, _template(first), _template(second))
+        return cls(first=first, second=second, culprit=culprit), end
 
     def _read_descriptor(
         self, data: bytes, offset: int, size: int
@@ -686,14 +807,7 @@ class FastDecoder:
             creator, address, timestamp, identity = birth
         else:
             intern.misses += 1
-            creator_digest = prelude[:32]
-            keys = intern.keys
-            creator = keys.get(creator_digest)
-            if creator is None:
-                creator = PublicKey(creator_digest)
-                if len(keys) >= _KEY_INTERN_MAX:
-                    keys.clear()
-                keys[creator_digest] = creator
+            creator = _intern_key(intern.keys, prelude[:32])
             host, port, timestamp = _BIRTH.unpack_from(prelude, 32)
             address = NetworkAddress(host=host, port=port)
             identity = DescriptorId(creator=creator, timestamp=timestamp)
@@ -718,14 +832,7 @@ class FastDecoder:
                 kind = _CODE_KINDS.get(hop_rec[32])
                 if kind is None:
                     raise CodecError("unknown hop kind code")
-                owner_digest = hop_rec[:32]
-                keys = intern.keys
-                owner = keys.get(owner_digest)
-                if owner is None:
-                    owner = PublicKey(owner_digest)
-                    if len(keys) >= _KEY_INTERN_MAX:
-                        keys.clear()
-                    keys[owner_digest] = owner
+                owner = _intern_key(intern.keys, hop_rec[:32])
                 signature = object.__new__(Signature)
                 _fill(signature, "signer", signer)
                 _fill(signature, "mac", hop_rec[33:])

@@ -363,12 +363,14 @@ class ShardedSession:
             terminate = getattr(worker, "terminate", None)
             if terminate is not None and worker.is_alive():
                 terminate()
+        # Close the control links before joining: a thread worker
+        # blocked on its link only exits once it reads EOF there.
+        for channel in self._controls:
+            channel.close()
         for worker in self._workers:
             join = getattr(worker, "join", None)
             if join is not None:
                 worker.join(timeout=5.0)
-        for channel in self._controls:
-            channel.close()
         if self._selector is not None:
             self._selector.close()
             self._selector = None
@@ -497,7 +499,9 @@ class ShardedSession:
         The session must be freshly started from an identically built
         overlay with the same shard count; each worker restores its own
         ``shard-<i>.ckpt`` and the mirror restores ``mirror.ckpt``, so
-        clocks, RNG streams, and node state all resume in lockstep.
+        clocks, RNG streams, and node state all resume in lockstep.  A
+        shard-count mismatch in either direction raises
+        :class:`ShardFailure` before anything is restored.
         """
         import pathlib
 
@@ -506,15 +510,19 @@ class ShardedSession:
         if not self._started or self._finished:
             raise ShardFailure("sharded session is not running")
         directory = pathlib.Path(directory)
+        saved = len(list(directory.glob("shard-*.ckpt")))
+        if saved != len(self._controls):
+            self._fail(
+                f"{directory} holds {saved} shard checkpoints but this "
+                f"session runs {len(self._controls)} shards: the checkpoint "
+                "was taken with a different shard count"
+            )
         restore_checkpoint(self.mirror, directory / "mirror.ckpt")
         try:
             for index, channel in enumerate(self._controls):
                 path = directory / f"shard-{index}.ckpt"
                 if not path.exists():
-                    self._fail(
-                        f"missing {path}: the checkpoint was taken with a "
-                        "different shard count"
-                    )
+                    self._fail(f"missing {path}")
                 channel.send(OP_RESTORE, (str(path),))
         except (OSError, BrokenPipeError):
             self._fail("a shard closed its control link mid-restore")

@@ -111,6 +111,38 @@ def test_restore_fleet_refuses_wrong_shard_count(tmp_path):
             session.restore_fleet(tmp_path)
     finally:
         session.close()
+    # Refused before the mirror was touched.
+    assert other.engine.clock.cycle == 0
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+)
+def test_restore_fleet_refuses_more_shard_files_than_shards(tmp_path):
+    """A checkpoint of more shards is refused, not silently truncated.
+
+    The files are placeholders: the count check must fire before any
+    of them is read, so restoring ``mirror.ckpt`` first would fail
+    with a different error.
+    """
+    for name in [f"shard-{i}.ckpt" for i in range(SHARDS)] + ["mirror.ckpt"]:
+        (tmp_path / name).write_bytes(b"not a checkpoint")
+    other = _build()
+    session = ShardedSession(
+        other,
+        SHARDS - 1,
+        backend="thread",
+        replica_factory=lambda index: _build(),
+    ).start()
+    try:
+        with pytest.raises(
+            ShardFailure,
+            match=f"holds {SHARDS} shard checkpoints.*runs {SHARDS - 1} shards",
+        ):
+            session.restore_fleet(tmp_path)
+    finally:
+        session.close()
+    assert other.engine.clock.cycle == 0
 
 
 @pytest.mark.filterwarnings(

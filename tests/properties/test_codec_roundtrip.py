@@ -40,7 +40,14 @@ from repro.core.exchange import (
     TransferMessage,
     TransferReply,
 )
-from repro.core.proofs import build_cloning_proof
+from repro.core.blacklist import Blacklist
+from repro.core.proofs import (
+    CloningProof,
+    FrequencyProof,
+    build_cloning_proof,
+    build_frequency_proof,
+)
+from repro.core.wire import encode_proof
 from repro.crypto.registry import KeyRegistry
 from repro.cyclon import CyclonDescriptor, CyclonReply, CyclonRequest
 from repro.errors import CodecError, DescriptorError, FrameOversizeError
@@ -49,6 +56,7 @@ from repro.sim.network import NetworkAddress
 _REGISTRY = KeyRegistry()
 _RNG = random.Random(7)
 _KEYPAIRS = [_REGISTRY.new_keypair(_RNG) for _ in range(5)]
+_PERIOD = 10.0
 
 
 @st.composite
@@ -75,7 +83,7 @@ def descriptors(draw):
 
 
 @st.composite
-def proofs(draw):
+def cloning_proofs(draw):
     base = draw(descriptors())
     owner_index = next(
         index
@@ -88,6 +96,45 @@ def proofs(draw):
     proof = build_cloning_proof(branch_a, branch_b)
     assert proof is not None
     return proof
+
+
+@st.composite
+def frequency_proofs(draw):
+    """Two one-hop-or-longer mints by one creator, closer than a period."""
+    creator = draw(st.integers(0, 4))
+    timestamp = draw(st.floats(min_value=0.0, max_value=1e6))
+    gap = draw(st.floats(min_value=0.5, max_value=_PERIOD / 2))
+    minted = []
+    for stamp in (timestamp, timestamp + gap):
+        descriptor = mint(
+            _KEYPAIRS[creator],
+            NetworkAddress(
+                host=draw(st.integers(0, 2**32 - 1)),
+                port=draw(st.integers(0, 2**16 - 1)),
+            ),
+            stamp,
+        )
+        current = creator
+        for nxt in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+            descriptor = descriptor.transfer(
+                _KEYPAIRS[current], _KEYPAIRS[nxt].public
+            )
+            current = nxt
+        minted.append(descriptor)
+    proof = build_frequency_proof(minted[0], minted[1], _PERIOD)
+    assert proof is not None
+    return proof
+
+
+def proofs():
+    """Both proof kinds, so both kind bytes (0 and 1) ride every frame."""
+    return st.one_of(cloning_proofs(), frequency_proofs())
+
+
+def proof_sections():
+    # Up to eight: under the hub attack every opening and reply carries
+    # the sender's whole blacklist, so multi-proof sections are the norm.
+    return st.lists(proofs(), max_size=8).map(tuple)
 
 
 @st.composite
@@ -133,17 +180,17 @@ def messages(draw):
             redemption=draw(descriptors()),
             non_swappable=draw(st.booleans()),
             samples=tuple(draw(st.lists(descriptors(), max_size=3))),
-            proofs=tuple(draw(st.lists(proofs(), max_size=2))),
+            proofs=draw(proof_sections()),
         )
     if kind == 2:
         return GossipAccept(
             samples=tuple(draw(st.lists(descriptors(), max_size=3))),
-            proofs=tuple(draw(st.lists(proofs(), max_size=2))),
+            proofs=draw(proof_sections()),
         )
     if kind == 3:
         return GossipReject(
             reason=draw(st.text(max_size=30)),
-            proofs=tuple(draw(st.lists(proofs(), max_size=2))),
+            proofs=draw(proof_sections()),
         )
     if kind == 4:
         return TransferMessage(
@@ -515,28 +562,37 @@ def test_fast_decoder_equivalent_on_valid_frames(message):
     assert decoded == message
 
 
-def _assert_decoders_agree(data):
-    """Both decoders accept with equal results or raise the same type."""
+def _assert_decoders_agree(data, warm=()):
+    """Both decoders accept with equal results or raise the same type.
+
+    The fast side runs twice: on a cold decoder, and on one whose
+    intern table already holds the records of the ``warm`` frames (the
+    unmutated originals), so the record-hit paths are pinned too.
+    """
     reference_error = reference_message = None
     try:
         reference_message = decode_message(data)
     except CodecError as exc:
         reference_error = exc
-    fast_error = fast_message = None
-    try:
-        fast_message = FastDecoder().decode(data)
-    except CodecError as exc:
-        fast_error = exc
-    if reference_error is None:
-        assert fast_error is None, (
-            f"reference accepted, fast raised {fast_error!r}"
-        )
-        assert fast_message == reference_message
-    else:
-        assert fast_error is not None, (
-            f"reference raised {reference_error!r}, fast accepted"
-        )
-        assert type(fast_error) is type(reference_error)
+    warmed = FastDecoder()
+    for frame in warm:
+        warmed.decode(frame)
+    for decoder in (FastDecoder(), warmed):
+        fast_error = fast_message = None
+        try:
+            fast_message = decoder.decode(data)
+        except CodecError as exc:
+            fast_error = exc
+        if reference_error is None:
+            assert fast_error is None, (
+                f"reference accepted, fast raised {fast_error!r}"
+            )
+            assert fast_message == reference_message
+        else:
+            assert fast_error is not None, (
+                f"reference raised {reference_error!r}, fast accepted"
+            )
+            assert type(fast_error) is type(reference_error)
 
 
 @given(message=messages(), mutation=st.data())
@@ -549,7 +605,8 @@ def test_fast_decoder_equivalent_under_bit_flips(message, mutation):
     a fast path that rejected more (or less, or differently) would
     change measured robustness numbers.
     """
-    data = bytearray(encode_message(message))
+    original = encode_message(message)
+    data = bytearray(original)
     flips = mutation.draw(st.integers(min_value=1, max_value=8))
     for _ in range(flips):
         index = mutation.draw(
@@ -557,7 +614,7 @@ def test_fast_decoder_equivalent_under_bit_flips(message, mutation):
         )
         bit = mutation.draw(st.integers(min_value=0, max_value=7))
         data[index] ^= 1 << bit
-    _assert_decoders_agree(bytes(data))
+    _assert_decoders_agree(bytes(data), warm=(original,))
 
 
 @given(message=messages(), cut=st.data())
@@ -568,7 +625,7 @@ def test_fast_decoder_equivalent_under_truncation(message, cut):
     if len(data) < 2:
         return
     prefix = cut.draw(st.integers(min_value=0, max_value=len(data) - 1))
-    _assert_decoders_agree(data[:prefix])
+    _assert_decoders_agree(data[:prefix], warm=(data,))
 
 
 @given(first=messages(), second=messages(), splice=st.data())
@@ -579,13 +636,134 @@ def test_fast_decoder_equivalent_under_splices(first, second, splice):
     tail = encode_message(second)
     cut_head = splice.draw(st.integers(min_value=0, max_value=len(head)))
     cut_tail = splice.draw(st.integers(min_value=0, max_value=len(tail)))
-    _assert_decoders_agree(head[:cut_head] + tail[cut_tail:])
+    spliced = head[:cut_head] + tail[cut_tail:]
+    _assert_decoders_agree(spliced, warm=(head, tail))
 
 
 @given(garbage=st.binary(max_size=300))
 @settings(max_examples=150, deadline=None)
 def test_fast_decoder_equivalent_on_random_bytes(garbage):
     _assert_decoders_agree(garbage)
+
+
+def _fork_proof(creator):
+    """A cloning proof against ``_KEYPAIRS[creator]``, which forks its mint."""
+    keypair = _KEYPAIRS[creator]
+    base = mint(keypair, NetworkAddress(host=creator, port=creator), 50.0)
+    return build_cloning_proof(
+        base.transfer(keypair, _KEYPAIRS[(creator + 1) % 5].public),
+        base.transfer(keypair, _KEYPAIRS[(creator + 2) % 5].public),
+    )
+
+
+def _mint_proof(creator):
+    """A frequency proof against ``_KEYPAIRS[creator]``: mints 1 s apart."""
+    keypair = _KEYPAIRS[creator]
+    address = NetworkAddress(host=creator, port=creator)
+    first = mint(keypair, address, 100.0)
+    second = mint(keypair, address, 101.0)
+    return build_frequency_proof(
+        first.transfer(keypair, _KEYPAIRS[(creator + 1) % 5].public),
+        second.transfer(keypair, _KEYPAIRS[(creator + 2) % 5].public),
+        _PERIOD,
+    )
+
+
+def _proof_frames(record):
+    """``record`` as a ProofFlood frame and as a one-proof GossipAccept."""
+    blob = struct.pack(">I", len(record)) + record
+    return (
+        bytes([8]) + blob,
+        bytes([2]) + struct.pack(">HH", 0, 1) + blob,
+    )
+
+
+def _assert_both_decoders_reject(record, valid_record):
+    warmed = FastDecoder()
+    for frame in _proof_frames(valid_record):
+        warmed.decode(frame)
+    for frame in _proof_frames(record):
+        with pytest.raises(CodecError):
+            decode_message(frame)
+        with pytest.raises(CodecError):
+            FastDecoder().decode(frame)
+        with pytest.raises(CodecError):
+            warmed.decode(frame)
+
+
+@pytest.mark.parametrize("make_proof", [_fork_proof, _mint_proof])
+def test_unknown_proof_kind_byte_rejected_by_both_decoders(make_proof):
+    valid = encode_proof(make_proof(0))
+    assert valid[0] == (0 if make_proof is _fork_proof else 1)
+    _assert_both_decoders_reject(bytes([2]) + valid[1:], valid)
+
+
+@pytest.mark.parametrize("length", [0, 1, 32])
+def test_proof_record_shorter_than_prelude_rejected_by_both_decoders(length):
+    valid = encode_proof(_fork_proof(0))
+    _assert_both_decoders_reject(valid[:length], valid)
+
+
+def test_proof_record_with_trailing_bytes_rejected_by_both_decoders():
+    valid = encode_proof(_mint_proof(2))
+    _assert_both_decoders_reject(valid + b"\x00", valid)
+
+
+def test_interned_proof_decode_shares_atoms_but_not_shells():
+    """Proof records follow the descriptor contract: atoms shared, shells not.
+
+    Every opening and reply re-delivers the sender's blacklist, so the
+    second decode below is answered from the proof intern map — and
+    must still hand out its own proof and descriptor objects, with
+    verification slots no other decode can touch.
+    """
+    proofs = (_fork_proof(0), _mint_proof(1))
+    assert (type(proofs[0]), type(proofs[1])) == (CloningProof, FrequencyProof)
+    frame = encode_message(GossipAccept(samples=(), proofs=proofs))
+    decoder = FastDecoder()
+    first = decoder.decode(frame).proofs
+    second = decoder.decode(frame).proofs
+    assert decoder.intern.stats()["proofs"] == 2
+    assert first == second == proofs
+    for a, b in zip(first, second):
+        assert a is not b
+        shells = (a.first, a.second, b.first, b.second)
+        assert len({id(shell) for shell in shells}) == 4
+        assert all(shell._verified_by is None for shell in shells)
+        # Atoms are interned by content...
+        assert a.culprit is b.culprit
+        assert a.first.hops is b.first.hops
+        assert a.second.hops is b.second.hops
+        # ...and validating one proof marks its own shells only.
+        assert a.validate(_REGISTRY, _PERIOD)
+        assert a.first._verified_by is _REGISTRY
+        for shell in (b.first, b.second):
+            assert shell._verified_by is None
+            assert shell._base_digest is None
+            assert shell._chain_digest is None
+            assert shell._attested_digest is None
+
+
+def test_encoder_proof_section_follows_blacklist_versions():
+    """The section memo re-encodes after Blacklist.add and after a tick."""
+    blacklist = Blacklist()
+    encoder = BatchEncoder(InternTable())
+    blacklist.add(_fork_proof(0))
+    before = GossipAccept(samples=(), proofs=blacklist.proofs_tuple())
+    assert encoder.encode(before) == encode_message(before)
+    blacklist.add(_mint_proof(1))
+    for cycle in (None, 1):
+        if cycle is not None:
+            encoder.begin_cycle(cycle)
+        reply = GossipAccept(samples=(), proofs=blacklist.proofs_tuple())
+        frame = encoder.encode(reply)
+        assert frame == encode_message(reply)
+        assert decode_message(frame).proofs == blacklist.proofs_tuple()
+        assert len(decode_message(frame).proofs) == 2
+        # A different message carrying the same blacklist version
+        # reuses the memoised section and still matches the reference.
+        reject = GossipReject(reason="x", proofs=blacklist.proofs_tuple())
+        assert encoder.encode(reject) == encode_message(reject)
 
 
 def test_fast_decoder_oversize_before_parsing():
