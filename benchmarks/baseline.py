@@ -101,27 +101,19 @@ def bench_micro() -> dict:
     }
 
 
-def bench_full_cycle(
-    rounds: int,
-    verification: str = "sequential",
-    transport: str = "object",
-) -> dict:
+def bench_full_cycle(rounds: int, transport: str = "object") -> dict:
     """The 200-node full-cycle benchmark (same shape as pytest's).
 
-    Run once per (verification, transport) combination that matters:
-    the ``batched`` entry prices the batched kernel end-to-end on the
-    simulation's own traffic (where the per-object memo already carries
-    most repeats), and the ``wire`` entries price the same workload
+    Run once per transport: the ``wire`` entry prices the same workload
     with every message re-framed through the codec — the regime where
-    receivers rebuild descriptors from bytes and the batched kernel's
-    network-wide digest memo is the only thing standing between the
-    overlay and per-sighting re-verification.
+    receivers rebuild descriptors from bytes and the engine verifies
+    chains through its batched plan, so it continues the history's
+    ``_wire_batched`` rows.
     """
     overlay = build_secure_overlay(
         n=200,
         config=SecureCyclonConfig(
-            view_length=20, swap_length=3, verification=verification,
-            transport=transport,
+            view_length=20, swap_length=3, transport=transport
         ),
         seed=1,
     )
@@ -131,9 +123,7 @@ def bench_full_cycle(
         start = time.perf_counter()
         overlay.run(1)
         times.append(time.perf_counter() - start)
-    suffix = "" if verification == "sequential" else f"_{verification}"
-    if transport != "object":
-        suffix = f"_{transport}{suffix}"
+    suffix = "" if transport == "object" else f"_{transport}"
     return {
         f"full_cycle_200_nodes{suffix}_ms": {
             "mean": round(statistics.mean(times) * 1e3, 3),
@@ -191,27 +181,26 @@ def bench_paper_scale(include_10k: bool) -> dict:
     metrics = {}
     for nodes, cycles in shapes:
         for transport in ("object", "wire"):
-            for mode in ("sequential", "batched"):
-                script = (
-                    "import dataclasses, json\n"
-                    "from repro.experiments.scale import measure_paper_scale\n"
-                    f"row = measure_paper_scale({nodes}, {cycles}, seed=42, "
-                    f"verification={mode!r}, transport={transport!r})\n"
-                    "print(json.dumps(dataclasses.asdict(row)))\n"
-                )
-                output = subprocess.check_output(
-                    [sys.executable, "-c", script], text=True
-                )
-                row = json_module.loads(output.strip().splitlines()[-1])
-                key = f"scale_{nodes}x{cycles}"
-                if transport != "object":
-                    key += f"_{transport}"
-                metrics[f"{key}_{mode}"] = {
-                    "build_s": row["build_seconds"],
-                    "run_s": row["run_seconds"],
-                    "per_cycle_ms": row["per_cycle_ms"],
-                    "mean_view_fill": row["mean_view_fill"],
-                }
+            script = (
+                "import dataclasses, json\n"
+                "from repro.experiments.scale import measure_paper_scale\n"
+                f"row = measure_paper_scale({nodes}, {cycles}, seed=42, "
+                f"transport={transport!r})\n"
+                "print(json.dumps(dataclasses.asdict(row)))\n"
+            )
+            output = subprocess.check_output(
+                [sys.executable, "-c", script], text=True
+            )
+            row = json_module.loads(output.strip().splitlines()[-1])
+            key = f"scale_{nodes}x{cycles}"
+            if transport != "object":
+                key += f"_{transport}"
+            metrics[key] = {
+                "build_s": row["build_seconds"],
+                "run_s": row["run_seconds"],
+                "per_cycle_ms": row["per_cycle_ms"],
+                "mean_view_fill": row["mean_view_fill"],
+            }
     return metrics
 
 
@@ -308,11 +297,7 @@ def record(
 ) -> dict:
     metrics = bench_micro()
     metrics.update(bench_full_cycle(rounds))
-    metrics.update(bench_full_cycle(rounds, verification="batched"))
     metrics.update(bench_full_cycle(rounds, transport="wire"))
-    metrics.update(
-        bench_full_cycle(rounds, verification="batched", transport="wire")
-    )
     metrics.update(bench_event_cycle(rounds))
     metrics.update(bench_batch_verification())
     metrics.update(bench_codec_fastpath())

@@ -189,37 +189,17 @@ python scripts/coverage_gate.py
 echo "== scheduler equivalence (CycleScheduler bit-for-bit vs golden; EventScheduler statistics) =="
 python -m pytest -q tests/properties/test_scheduler_equivalence.py
 
-# Same goldens once more with the whole harness flipped to batched
-# verification: the kernel must be bit-for-bit invisible in every
-# figure.  (Tier-1 covers this via the in-file parametrisation too;
-# the explicit env-override run additionally proves the REPRO_
-# VERIFICATION escape hatch works end to end.)
-echo "== batched-verification equivalence (REPRO_VERIFICATION=batched vs golden) =="
-REPRO_VERIFICATION=batched python -m pytest -q \
-    tests/properties/test_scheduler_equivalence.py \
-    -k "batched_verification_matches or pre_refactor"
-
-# And once more with the whole harness flipped to the wire transport:
+# Once more with the whole harness flipped to the wire transport:
 # every dialogue leg and push framed through the binary codec, every
-# receiver decoding fresh objects from bytes — still bit-for-bit.
-# Tier-1 already parametrises wire x {sequential,batched} over all
-# five goldens in-file; this step proves the REPRO_TRANSPORT escape
-# hatch end to end, on one legacy-Cyclon and one SecureCyclon golden
-# (wire captures re-verify every received chain, so the full five
-# would add ~6 CI minutes for coverage tier-1 already has).
+# receiver decoding fresh objects from bytes and verifying through the
+# engine's batched plan — still bit-for-bit.  Tier-1 already runs wire
+# over all five goldens in-file; this step proves the REPRO_TRANSPORT
+# escape hatch end to end, on one legacy-Cyclon and one SecureCyclon
+# golden.
 echo "== wire-transport equivalence (REPRO_TRANSPORT=wire vs golden) =="
 REPRO_TRANSPORT=wire python -m pytest -q \
     tests/properties/test_scheduler_equivalence.py \
     -k "pre_refactor and (fig3 or fig5)"
-
-# The observation screen's numpy kernel must be bit-for-bit invisible
-# too: same golden subset plus the sample-cache unit tests under
-# REPRO_OBSERVE=vectorized (the default loop mode is what tier-1 runs).
-echo "== vectorised observation equivalence (REPRO_OBSERVE=vectorized vs golden) =="
-REPRO_OBSERVE=vectorized python -m pytest -q \
-    tests/core/test_samples.py \
-    tests/properties/test_scheduler_equivalence.py \
-    -k "samples or (pre_refactor and (fig3 or fig5))"
 
 # Wire-fault plane: the fault injector and health ledger must be
 # bit-for-bit invisible while inert (tier-1 parametrises this over all
@@ -254,8 +234,8 @@ python benchmarks/baseline.py --list
 
 # Checkpoint/resume: an experiment checkpointed at its midpoint and
 # resumed in a FRESH PROCESS must reproduce the committed golden
-# bit-for-bit.  Tier-1 runs the in-process {object,wire} x
-# {sequential,batched} resume matrix (tests/ops/); this step proves
+# bit-for-bit.  Tier-1 runs the in-process {object,wire} resume
+# matrix (tests/ops/); this step proves
 # the CLI split end to end — two invocations, two interpreters, one
 # golden — on one object-transport and one wire-transport figure.
 echo "== resume-golden (25+25 == 50: --checkpoint then --resume vs golden) =="

@@ -2,52 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError
 from repro.sim.retry import RetryPolicy
 from repro.sim.transport import resolve_transport, validate_transport
-
-#: Accepted values of the ``verification=`` knob.
-VERIFICATION_MODES = ("sequential", "batched")
-
-#: Environment override for the knob, mirroring ``REPRO_SCALE``: a
-#: config whose ``verification`` is ``None`` resolves through this
-#: variable, which lets the whole experiment harness (and the golden
-#: equivalence guard) flip verification modes without touching any
-#: call site.
-ENV_VERIFICATION = "REPRO_VERIFICATION"
-
-
-def resolve_verification(mode: Optional[str]) -> str:
-    """Resolve a ``verification=`` knob value to a concrete mode.
-
-    An explicit value wins; otherwise the ``REPRO_VERIFICATION``
-    environment variable; otherwise ``"sequential"`` — the default must
-    stay sequential so the cycle model's RNG stream and the golden
-    figure series are untouched unless a run opts in.
-    """
-    if mode is not None:
-        return mode
-    raw = os.environ.get(ENV_VERIFICATION, "").strip().lower()
-    if not raw:
-        return VERIFICATION_MODES[0]
-    if raw not in VERIFICATION_MODES:
-        valid = ", ".join(VERIFICATION_MODES)
-        raise ConfigError(
-            f"invalid {ENV_VERIFICATION}={raw!r}; expected one of: {valid}"
-        )
-    return raw
-
-
-def _validate_verification(mode: Optional[str]) -> None:
-    if mode is not None and mode not in VERIFICATION_MODES:
-        valid = ", ".join(VERIFICATION_MODES)
-        raise ConfigError(
-            f"verification must be one of: {valid} (or None); got {mode!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -108,19 +68,6 @@ class SecureCyclonConfig:
         every ``period - tolerance`` seconds, so keep it small.  Must
         stay below one period.  The default of zero preserves the
         paper's exact predicate.
-    ``verification``
-        How ownership chains are verified: ``"sequential"`` walks one
-        chain at a time through
-        :func:`repro.core.descriptor.verify_descriptor`;
-        ``"batched"`` routes whole sample batches through the
-        cycle-scoped :class:`repro.crypto.batch.VerificationPlan`
-        (flat-buffer MAC kernel plus a cross-node digest memo, so each
-        distinct chain is checked once network-wide per cycle).  Both
-        modes compute the identical predicate — the choice is
-        performance-only and guarded bit-for-bit by the golden series.
-        ``None`` (the default) resolves through the
-        ``REPRO_VERIFICATION`` environment variable and falls back to
-        sequential.
     ``transport``
         How messages cross the simulated network: ``"object"`` passes
         the sender's Python objects by reference (the classic
@@ -129,12 +76,11 @@ class SecureCyclonConfig:
         fresh objects from real bytes, and traffic accounting switches
         from budgeted to measured frame sizes.  The codec is lossless
         and consumes no RNG, so outputs are bit-for-bit identical
-        under both modes (golden-guarded) — what changes is the work:
-        wire mode is where ``verification="batched"`` pays off
-        network-wide, because shared-object identity no longer
-        memoises verification away.  ``None`` (the default) resolves
-        through the ``REPRO_TRANSPORT`` environment variable and falls
-        back to object passing.
+        under both modes (golden-guarded) — what changes is the work,
+        including which chain verifier runs (see
+        :meth:`repro.sim.engine.Engine.add_node`).  ``None`` (the
+        default) resolves through the ``REPRO_TRANSPORT`` environment
+        variable and falls back to object passing.
     """
 
     view_length: int = 20
@@ -148,11 +94,9 @@ class SecureCyclonConfig:
     blacklist_enabled: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     frequency_tolerance_seconds: float = 0.0
-    verification: Optional[str] = None
     transport: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _validate_verification(self.verification)
         validate_transport(self.transport)
         if self.view_length < 1:
             raise ConfigError("view_length must be >= 1")
@@ -182,15 +126,6 @@ class SecureCyclonConfig:
             raise ConfigError("non_swappable_swap_limit must be >= 0")
         if self.frequency_tolerance_seconds < 0:
             raise ConfigError("frequency_tolerance_seconds must be >= 0")
-
-    def effective_verification(self) -> str:
-        """The resolved verification mode (see :func:`resolve_verification`).
-
-        Resolved at call time, not construction time, so the
-        environment override can flip an already-built default config —
-        the golden equivalence guard relies on this.
-        """
-        return resolve_verification(self.verification)
 
     def effective_transport(self) -> str:
         """The resolved transport mode (see

@@ -110,16 +110,9 @@ class SecureCyclonNode(ProtocolNode):
         # never replaced, only mutated, so the alias stays valid.
         self._blacklist_map = self.blacklist.by_culprit
         self._drop_chains = config.drop_chains_through_blacklisted
-        # Batched verification (config knob / REPRO_VERIFICATION): a
-        # standalone node owns a private plan; engine-built overlays
-        # rebind the engine-wide shared plan (bind_verification_plan)
-        # so each distinct chain is verified once network-wide per
-        # cycle.  ``None`` selects the sequential path everywhere.
-        self._vplan: Optional[VerificationPlan] = (
-            VerificationPlan(registry)
-            if config.effective_verification() == "batched"
-            else None
-        )
+        # The engine-wide shared plan, bound by Engine.add_node on the
+        # wire transport; ``None`` selects verify_descriptor everywhere.
+        self._vplan: Optional[VerificationPlan] = None
         self._last_mint_cycle: Optional[int] = None
         self._last_mint_time_s: Optional[float] = None
         self._sessions: Dict[PublicKey, _PartnerSession] = {}
@@ -521,11 +514,11 @@ class SecureCyclonNode(ProtocolNode):
                 return "nonswap-quota-this-cycle"
         else:
             if redemption.timestamp in self._redeemed_own_timestamps:
-                # A replay or a clone of an already-spent token.  If it
-                # is a clone, the sample cache observation below will
-                # yield the proof; either way the gossip is refused.
+                # A replay or a clone of an already-spent token; either
+                # way the gossip is refused.  The observation caches the
+                # copy, but any proof it returns is discarded, not
+                # adopted (as for the other redemption observations).
                 self.sample_cache.observe(redemption, self.current_cycle)
-                self._drain_found_proofs()
                 return "already-redeemed"
         return None
 
@@ -658,13 +651,12 @@ class SecureCyclonNode(ProtocolNode):
         return (*self.view.descriptors(), *self.redemption_cache.contents())
 
     def _verify_chain(self, descriptor: SecureDescriptor) -> bool:
-        """Chain verification through the configured mode.
+        """Chain verification through the verifier the engine chose.
 
-        Sequential mode calls :func:`verify_descriptor` directly;
-        batched mode routes through the :class:`VerificationPlan` so
-        single verifications share the cycle's cross-node digest memo
-        with the batched sample streams.  Both compute the identical
-        predicate.
+        Unbound nodes call :func:`verify_descriptor` directly; nodes
+        bound to a :class:`VerificationPlan` route through it so single
+        verifications share the cycle's cross-node digest memo with the
+        batched sample streams.  Both compute the identical predicate.
         """
         plan = self._vplan
         if plan is not None:
@@ -697,34 +689,14 @@ class SecureCyclonNode(ProtocolNode):
             network,
         )
 
-    def _observe(self, descriptor: SecureDescriptor, network) -> bool:
-        """Run the §IV-B checks on one received descriptor.
+    def _observe_validated(self, descriptor: SecureDescriptor, network) -> bool:
+        """The §IV-B tail for one descriptor whose chain and timestamp
+        were already checked (right after
+        :meth:`_validate_incoming_transfer`): blacklist filters, then
+        the sample cache's insertion rules, adopting any proof found.
 
         Returns True if the descriptor is acceptable for further use
-        (its creator is not blacklisted and it verified).
-
-        This is the reference form of the vetting pipeline.  The hot
-        paths use :meth:`_observe_validated` (when the chain and
-        timestamp were already checked) and
-        ``SampleCache.observe_stream`` /
-        ``SampleCache.observe_stream_planned`` (whole sample batches,
-        sequential and batched verification respectively); any change
-        to the rules here must be mirrored there.
-        """
-        registry = self.registry
-        if descriptor._verified_by is not registry and not self._verify_chain(
-            descriptor
-        ):
-            return False
-        if descriptor.timestamp > self.clock.now_s + self._tolerance_cached:
-            return False
-        return self._observe_validated(descriptor, network)
-
-    def _observe_validated(self, descriptor: SecureDescriptor, network) -> bool:
-        """The tail of :meth:`_observe` for descriptors whose chain and
-        timestamp were already checked (e.g. right after
-        :meth:`_validate_incoming_transfer`, which performs the same
-        verification and timestamp tests)."""
+        (its creator is not blacklisted)."""
         blacklisted = self._blacklist_map
         creator = descriptor.creator
         if creator in blacklisted:
@@ -776,13 +748,6 @@ class SecureCyclonNode(ProtocolNode):
         if network is not None:
             self._flood(proof, network)
 
-    def _drain_found_proofs(self) -> None:
-        """Adopt proofs discovered while no network handle was available."""
-        # Sample-cache observations return proofs eagerly; this method
-        # exists for call sites that observe outside an exchange.  The
-        # proofs were already adopted there, so nothing to do — kept for
-        # interface clarity.
-
     def _purge_culprit(self, culprit: PublicKey) -> None:
         self.view.purge_creator(culprit)
         if self.config.drop_chains_through_blacklisted:
@@ -831,12 +796,10 @@ class SecureCyclonNode(ProtocolNode):
     def bind_verification_plan(self, plan: VerificationPlan) -> None:
         """Adopt a shared batched-verification plan.
 
-        Scenario builders call this on every node of an overlay whose
-        config resolves to ``verification="batched"``, replacing the
-        node's private plan with the engine-wide one so chain verdicts
-        are shared network-wide within a cycle.  Binding a plan opts
-        the node into the batched path regardless of its config — the
-        caller owns that decision.
+        :meth:`repro.sim.engine.Engine.add_node` calls this on the wire
+        transport, so chain verdicts are shared network-wide within a
+        cycle.  Binding a plan opts the node into the batched path —
+        the caller owns that decision.
         """
         self._vplan = plan
 

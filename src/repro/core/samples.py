@@ -24,9 +24,8 @@ message lands here), which is why the layout is tuned this far and why
 from __future__ import annotations
 
 import bisect
-import os
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.chain import ChainRelation, compare_chains
 from repro.core.descriptor import (
@@ -41,72 +40,14 @@ from repro.core.proofs import (
     build_frequency_proof,
 )
 from repro.crypto.keys import PublicKey
-from repro.errors import ConfigError
 
 # Per-creator slot layout: [sorted timestamps, {timestamp: descriptor}].
 _TIMESTAMPS = 0
 _BY_TS = 1
 
-#: Environment knob for the observation prologue, mirroring
-#: ``REPRO_TRANSPORT``/``REPRO_VERIFICATION``: ``loop`` (default) runs
-#: the plain-Python flat screen, ``vectorized`` screens batch
-#: timestamps through a numpy kernel when numpy is importable (silently
-#: falling back to the loop when it is not — the knob must never make a
-#: result depend on an optional dependency).
-ENV_OBSERVE = "REPRO_OBSERVE"
-OBSERVE_MODES = ("loop", "vectorized")
-
-#: Below this batch size the numpy kernel costs more than it saves
-#: (array construction dominates), so the vectorized mode drops back to
-#: the flat loop.  Screening is pure, so the crossover is a pure
-#: performance knob — results are identical on both sides of it.
-_VECTOR_MIN_BATCH = 8
-
-_np_module: Any = None
-
-
-def _numpy() -> Optional[Any]:
-    """Import numpy once; ``None`` when unavailable."""
-    global _np_module
-    if _np_module is None:
-        try:
-            import numpy  # noqa: PLC0415 - optional, gated dependency
-
-            _np_module = numpy
-        except ImportError:  # pragma: no cover - numpy present in CI
-            _np_module = False
-    return _np_module if _np_module is not False else None
-
-
-def _deadline_keeps(items: list, deadline: float) -> Optional[list]:
-    """The vectorized timestamp screen, or ``None`` for the flat loop.
-
-    Returns a keep-mask (``True`` = timestamp within ``deadline``) over
-    ``items`` computed by numpy when ``REPRO_OBSERVE=vectorized`` asks
-    for it and the batch is big enough to amortise array construction.
-    The mask is ``not (ts > deadline)`` — the exact negation of the
-    sequential skip test, so non-finite timestamps (NaN compares false
-    either way) keep identical fates on both paths.
-    """
-    raw = os.environ.get(ENV_OBSERVE, "").strip().lower()
-    if not raw or raw == OBSERVE_MODES[0]:
-        return None
-    if raw not in OBSERVE_MODES:
-        valid = ", ".join(OBSERVE_MODES)
-        raise ConfigError(
-            f"invalid {ENV_OBSERVE}={raw!r}; expected one of: {valid}"
-        )
-    if len(items) < _VECTOR_MIN_BATCH:
-        return None
-    np = _numpy()
-    if np is None:
-        return None
-    timestamps = np.fromiter(
-        (descriptor.timestamp for descriptor in items),
-        dtype=np.float64,
-        count=len(items),
-    )
-    return np.logical_not(timestamps > deadline).tolist()
+#: The blacklist :meth:`SampleCache.observe` hands the insertion loop:
+#: it returns proofs instead of adopting them, so nothing can grow it.
+_NOTHING_BLACKLISTED: frozenset = frozenset()
 
 
 class SampleCache:
@@ -141,78 +82,22 @@ class SampleCache:
     ) -> List[ViolationProof]:
         """Record ``descriptor`` and return any violation proofs found.
 
-        Runs the frequency check against every cached descriptor by the
-        same creator and the ownership check against the cached copy of
-        the same identity, exactly as §IV-B prescribes.  The descriptor
-        is cached afterwards either way: evidence stays useful even when
-        a violation was already found.
+        Runs :meth:`_insert` — the same §IV-B insertion rules every
+        sample batch goes through — over this one descriptor, with no
+        screens in front: the caller has vetted it.  Proofs are
+        returned, not adopted; what to do with them is the caller's
+        decision.
         """
-        creator = descriptor.creator
-        ts = descriptor.timestamp
-        slot = self._by_creator.get(creator)
-        if slot is None:
-            self._by_creator[creator] = [[ts], {ts: descriptor}]
-            self._count += 1
-            self._expiry.append((cycle + self._horizon, creator, ts))
-            return []
-
-        by_ts = slot[_BY_TS]
-        existing = by_ts.get(ts)
-        if existing is descriptor:
-            # Exactly this object was observed before — every check
-            # already ran against it.  Samples repeat heavily (views
-            # change slowly), so this fast path carries real traffic.
-            return []
-
-        if existing is None:
-            # New identity: only the frequency check applies, then store.
-            timestamps = slot[_TIMESTAMPS]
-            period = self._period
-            threshold = period - FREQUENCY_SLACK_SECONDS
-            index = bisect.bisect_left(timestamps, ts)
-            size = len(timestamps)
-            proofs: List[ViolationProof] = []
-            # Only the immediate neighbors of the insertion point can
-            # conflict — anything further is at least as far as a
-            # neighbor.  The cheap timestamp test runs first; honest
-            # traffic never passes it.
-            for neighbor_index in (index - 1, index):
-                if 0 <= neighbor_index < size:
-                    other_ts = timestamps[neighbor_index]
-                    if other_ts != ts and abs(other_ts - ts) < threshold:
-                        other = by_ts.get(other_ts)
-                        if other is not None:
-                            proof = build_frequency_proof(
-                                descriptor, other, period
-                            )
-                            if proof is not None:
-                                proofs.append(proof)
-            timestamps.insert(index, ts)
-            by_ts[ts] = descriptor
-            self._count += 1
-            self._expiry.append((cycle + self._horizon, creator, ts))
-            return proofs
-
-        # Known identity: the ownership check (§IV-B).  The frequency
-        # check was already performed when the identity first arrived.
-        # Equal chain digests imply equal chain content (the digests
-        # commit to every hop), which is by far the most common case —
-        # distinct copies of the same unmoved descriptor.
-        if existing.chain_digest() == descriptor.chain_digest():
-            return []
-        comparison = compare_chains(existing, descriptor)
-        if comparison.is_violation:
-            return [
-                CloningProof(
-                    first=existing,
-                    second=descriptor,
-                    culprit=comparison.culprit,
-                )
-            ]
-        if comparison.relation is ChainRelation.PREFIX:
-            # Retain the longest compatible chain (§IV-B).
-            by_ts[ts] = descriptor
-        return []
+        found: List[ViolationProof] = []
+        self._insert(
+            (descriptor,),
+            cycle,
+            _NOTHING_BLACKLISTED,
+            False,
+            lambda proof, _network, _validated: found.append(proof),
+            None,
+        )
+        return found
 
     def observe_stream(
         self,
@@ -225,59 +110,37 @@ class SampleCache:
         adopt,
         network,
     ) -> None:
-        """Vet and observe a whole sample batch in one flat loop.
+        """Vet and observe a whole sample batch: the §IV-B pipeline.
 
-        Behaviourally identical to running the per-descriptor §IV-B
-        pipeline (chain verification, timestamp bound, blacklist
-        filters, then :meth:`observe`) over ``descriptors`` in order,
-        adopting each discovered proof *immediately* via ``adopt(proof,
-        network, already_validated=True)`` — adoption may blacklist a
-        creator or purge this very cache, and later samples in the same
-        batch must see those effects, exactly as the sequential path
-        does.  Exists because sample observation runs ~10k times per
-        cycle at 200 nodes and the per-call overhead of the layered
-        path dominates the run time.  ``blacklisted`` is the live
-        blacklist dict (mutated by adoption), ``deadline`` the
-        timestamp acceptance bound.
+        Runs chain verification, the timestamp bound and the blacklist
+        filters over ``descriptors`` in order, then the insertion rules
+        (:meth:`_insert`), adopting each discovered proof *immediately*
+        via ``adopt(proof, network, already_validated=True)`` —
+        adoption may blacklist a creator or purge this very cache, and
+        later samples in the same batch must see those effects.
+        ``blacklisted`` is the live blacklist dict (mutated by
+        adoption), ``deadline`` the timestamp acceptance bound.
 
-        Structure-of-arrays prologue: the four pure screens (chain
-        verification, timestamp bound, blacklist membership, tainted-
-        chain ownership) run as a flat pass over the whole batch first
-        — optionally with the timestamp screen vectorized through
-        numpy (``REPRO_OBSERVE=vectorized``) — and only the survivors
-        enter the stateful insertion loop.  The split is behaviour-
-        preserving because the screens are pure with respect to batch
-        state *until the first adoption*: the blacklist only ever
-        grows, and the insertion loop watches its size, re-applying the
-        blacklist screens live to every survivor after a mid-batch
-        adoption — exactly the checks the sequential interleaving would
-        have run.  Verification order is unchanged (every descriptor,
-        screened or not, is verified exactly as the sequential loop
-        verifies it), so memo and trusted-cache effects are identical.
+        The four pure screens (chain verification, timestamp bound,
+        blacklist membership, tainted-chain ownership) run as one flat
+        pass over the whole batch, and only the survivors enter the
+        stateful insertion loop.  The split is behaviour-preserving
+        because the screens are pure with respect to batch state
+        *until the first adoption*: the blacklist only ever grows, and
+        the insertion loop watches its size, re-applying the blacklist
+        screens live to every survivor after a mid-batch adoption.
+        Every descriptor, screened or not, is verified in batch order,
+        so memo and trusted-cache effects do not depend on the split.
         """
-        items = (
-            descriptors if type(descriptors) is list else list(descriptors)
-        )
-        if not items:
-            return
-        keeps = _deadline_keeps(items, deadline)
         survivors: List[SecureDescriptor] = []
         keep = survivors.append
-        position = 0
-        for descriptor in items:
+        for descriptor in descriptors:
             if descriptor._verified_by is not registry and not verify_descriptor(
                 descriptor, registry
             ):
-                position += 1
                 continue
-            if keeps is not None:
-                if not keeps[position]:
-                    position += 1
-                    continue
-            elif descriptor.timestamp > deadline:
-                position += 1
+            if descriptor.timestamp > deadline:
                 continue
-            position += 1
             if descriptor.creator in blacklisted:
                 continue
             if drop_chains and any(
@@ -285,16 +148,38 @@ class SampleCache:
             ):
                 continue
             keep(descriptor)
-        if not survivors:
-            return
+        if survivors:
+            self._insert(
+                survivors, cycle, blacklisted, drop_chains, adopt, network
+            )
 
+    def _insert(
+        self,
+        survivors,
+        cycle: int,
+        blacklisted,
+        drop_chains: bool,
+        adopt,
+        network,
+    ) -> None:
+        """The §IV-B insertion rules, the one copy every path runs.
+
+        For each descriptor in order: a new identity gets the frequency
+        check against its creator's neighbouring timestamps and is
+        stored; a known identity gets the ownership check against the
+        cached copy, and a compatible longer chain replaces it.  Proofs
+        go to ``adopt(proof, network, True)`` as they are found.  While
+        ``blacklisted`` keeps the size it had on entry the caller's
+        screens still hold; once an adoption grows it, every remaining
+        descriptor is re-screened live.
+        """
         by_creator = self._by_creator
         expiry = self._expiry
         expiry_cycle = cycle + self._horizon
         period = self._period
         threshold = period - FREQUENCY_SLACK_SECONDS
         bisect_left = bisect.bisect_left
-        # The screen above is valid while the blacklist is exactly as it
+        # The caller's screens hold while the blacklist is exactly as it
         # was; the first adoption grows it (blacklists are append-only),
         # after which every remaining survivor gets the live re-check.
         screened_size = len(blacklisted)
@@ -318,8 +203,11 @@ class SampleCache:
             existing = by_ts.get(ts)
             if existing is descriptor:
                 # Seen this exact object: every check already ran.
+                # Samples repeat heavily (views change slowly), so this
+                # fast path carries real traffic.
                 continue
             if existing is None:
+                # New identity: only the frequency check applies.
                 timestamps = slot[_TIMESTAMPS]
                 index = bisect_left(timestamps, ts)
                 proofs = None
@@ -341,12 +229,15 @@ class SampleCache:
                 expiry.append((expiry_cycle, creator, ts))
                 if proofs is not None:
                     # Adoption strictly after storage: blacklisting the
-                    # culprit purges this cache, including the entry
-                    # just stored — the sequential path stores first,
-                    # and the purge must see the stored entry.
+                    # culprit purges this cache, and the purge must see
+                    # the entry just stored.
                     for proof in proofs:
                         adopt(proof, network, True)
                 continue
+            # Known identity: the ownership check.  Equal chain digests
+            # imply equal chain content (the digests commit to every
+            # hop), by far the most common case — distinct copies of
+            # the same unmoved descriptor.
             existing_digest = existing._chain_digest
             incoming_digest = descriptor._chain_digest
             if (
@@ -369,6 +260,7 @@ class SampleCache:
                     True,
                 )
             elif comparison.relation is ChainRelation.PREFIX:
+                # Retain the longest compatible chain.
                 by_ts[ts] = descriptor
 
     def observe_stream_planned(

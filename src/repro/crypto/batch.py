@@ -39,8 +39,10 @@ reuse, same per-object ``_verified_by`` memo side effects — so the two
 paths are interchangeable descriptor by descriptor.  The equivalence is
 enforced property-by-property in
 ``tests/properties/test_batched_verification.py`` and bit-for-bit on
-the golden figure series (``REPRO_VERIFICATION=batched`` in
-``tests/properties/test_scheduler_equivalence.py``).
+the golden figure series: the wire transport always verifies through
+the plan (``Engine.add_node``), and
+``tests/properties/test_scheduler_equivalence.py`` holds it to the
+goldens the object transport's sequential walk produces.
 
 Memo lifetime and invalidation: the digest memo is cleared at every
 cycle boundary (:meth:`VerificationPlan.begin_cycle`), and

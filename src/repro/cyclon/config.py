@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import _validate_verification, resolve_verification
 from repro.errors import ConfigError
 from repro.sim.retry import RetryPolicy
 from repro.sim.transport import resolve_transport, validate_transport
@@ -24,27 +23,19 @@ class CyclonConfig:
     retry initiates a fresh shuffle with the next oldest neighbor.
     Inert under the cycle runtime, which has no timeouts.
 
-    ``verification`` mirrors the SecureCyclon knob so harnesses can set
-    one value across both protocol configs (and the
-    ``REPRO_VERIFICATION`` override applies uniformly).  Legacy Cyclon
-    descriptors carry no ownership chains, so the knob is validated but
-    behaviourally inert here — there is nothing to verify.
-
-    ``transport`` also mirrors SecureCyclon (one value across both
-    configs; ``REPRO_TRANSPORT`` applies uniformly) and is *not* inert:
-    under ``"wire"`` every shuffle request/reply is framed through the
-    legacy-Cyclon wire codec (:mod:`repro.cyclon.codec`) and receivers
-    rebuild the descriptors from bytes.
+    ``transport`` mirrors SecureCyclon (one value across both configs;
+    ``REPRO_TRANSPORT`` applies uniformly): under ``"wire"`` every
+    shuffle request/reply is framed through the legacy-Cyclon wire
+    codec (:mod:`repro.cyclon.codec`) and receivers rebuild the
+    descriptors from bytes.
     """
 
     view_length: int = 20
     swap_length: int = 3
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    verification: Optional[str] = None
     transport: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _validate_verification(self.verification)
         validate_transport(self.transport)
         if self.view_length < 1:
             raise ConfigError("view_length must be >= 1")
@@ -56,14 +47,10 @@ class CyclonConfig:
                 f"view_length ({self.view_length})"
             )
 
-    def effective_verification(self) -> str:
-        """The resolved verification mode (inert for legacy Cyclon)."""
-        return resolve_verification(self.verification)
-
     def effective_transport(self) -> str:
         """The resolved transport mode (``REPRO_TRANSPORT`` applies).
 
         Resolved at call time so the environment override can flip an
-        already-built default config, like ``effective_verification``.
+        already-built default config.
         """
         return resolve_transport(self.transport)

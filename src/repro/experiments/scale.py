@@ -63,17 +63,16 @@ def pick(scale: Scale, smoke, default, full):
 
 @dataclass(frozen=True)
 class PaperScaleRow:
-    """One (overlay size, verification mode) wall-time measurement."""
+    """One (overlay size, transport) wall-time measurement."""
 
     nodes: int
     cycles: int
-    verification: str
+    transport: str
     build_seconds: float
     run_seconds: float
     per_cycle_ms: float
     cycles_per_second: float
     mean_view_fill: float
-    transport: str = "object"
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ class PaperScaleReport:
     """Outcome of one :func:`run_paper_scale` sweep.
 
     The paper evaluates 1K and 10K-node overlays; this harness times
-    exactly those shapes under both verification modes so the recorded
-    numbers in ``BENCH_core.json`` / ``EXPERIMENTS.md`` stay
-    reproducible from one command line.
+    exactly those shapes under both transports so the recorded numbers
+    in ``BENCH_core.json`` / ``EXPERIMENTS.md`` stay reproducible from
+    one command line.
     """
 
     scale: str
@@ -93,13 +92,13 @@ class PaperScaleReport:
     def render(self) -> str:
         lines = [
             f"paper scale [{self.scale}] seed {self.seed}",
-            f"{'nodes':>7}  {'cycles':>6}  {'verification':>12}  "
+            f"{'nodes':>7}  {'cycles':>6}  "
             f"{'transport':>9}  {'build s':>8}  {'run s':>8}  "
             f"{'ms/cycle':>9}  {'cycles/s':>8}  {'view fill':>9}",
         ]
         for row in self.rows:
             lines.append(
-                f"{row.nodes:>7}  {row.cycles:>6}  {row.verification:>12}  "
+                f"{row.nodes:>7}  {row.cycles:>6}  "
                 f"{row.transport:>9}  "
                 f"{row.build_seconds:>8.2f}  {row.run_seconds:>8.2f}  "
                 f"{row.per_cycle_ms:>9.1f}  {row.cycles_per_second:>8.2f}  "
@@ -112,19 +111,17 @@ def measure_paper_scale(
     nodes: int,
     cycles: int,
     seed: int = 42,
-    verification: Optional[str] = None,
     transport: Optional[str] = None,
 ) -> PaperScaleRow:
     """Build and run one overlay shape; returns its wall-time row.
 
     ``transport`` selects the message-passing mode (``None`` resolves
     through ``REPRO_TRANSPORT``); wire mode re-frames every message
-    through the codec, which is the regime where batched verification
-    shows its end-to-end win.  Tracing is disabled — at 10K nodes a
-    traced full run would spend more memory on the event log than on
-    the overlay itself.
+    through the codec and verifies chains through the engine's batched
+    plan.  Tracing is disabled — at 10K nodes a traced full run would
+    spend more memory on the event log than on the overlay itself.
     """
-    from repro.core.config import SecureCyclonConfig, resolve_verification
+    from repro.core.config import SecureCyclonConfig
     from repro.experiments.scenarios import build_secure_overlay
     from repro.metrics.links import view_fill_fraction
     from repro.sim.engine import SimConfig
@@ -138,11 +135,9 @@ def measure_paper_scale(
     # and letting its collection land inside this measurement skews
     # build/run times by whole seconds at 1K+ nodes.
     gc.collect()
-    mode = resolve_verification(verification)
     transport_mode = resolve_transport(transport)
     config = SecureCyclonConfig(
-        view_length=20, swap_length=3, verification=mode,
-        transport=transport_mode,
+        view_length=20, swap_length=3, transport=transport_mode
     )
     build_started = time.perf_counter()
     overlay = build_secure_overlay(
@@ -158,27 +153,26 @@ def measure_paper_scale(
     return PaperScaleRow(
         nodes=nodes,
         cycles=cycles,
-        verification=mode,
+        transport=transport_mode,
         build_seconds=round(build_seconds, 3),
         run_seconds=round(run_seconds, 3),
         per_cycle_ms=round(run_seconds / cycles * 1e3, 2),
         cycles_per_second=round(cycles / run_seconds, 3),
         mean_view_fill=round(view_fill_fraction(overlay.engine), 4),
-        transport=transport_mode,
     )
 
 
 def run_paper_scale(
     scale: Optional[Scale] = None, seed: int = 42
 ) -> PaperScaleReport:
-    """Paper-scale wall-time benchmark: 1K/10K-node overlays under
-    sequential vs batched chain verification.
+    """Paper-scale wall-time benchmark: 1K/10K-node overlays under the
+    object and the wire transport.
 
     ``full`` runs the paper's two sizes — 1000 nodes for 50 cycles and
     the repo's headline 10 000-node full-cycle run — once per
-    verification mode; ``default`` runs the 1K shape; ``smoke`` a
-    seconds-budget miniature.  Both modes run the same seed, so any
-    behavioural divergence (there must be none) would show up as a
+    transport; ``default`` runs the 1K shape; ``smoke`` a
+    seconds-budget miniature.  Both transports run the same seed, so
+    any behavioural divergence (there must be none) would show up as a
     different final view fill.
     """
     scale = resolve_scale(scale)
@@ -190,10 +184,10 @@ def run_paper_scale(
     )
     rows = []
     for nodes, cycles in shapes:
-        for mode in ("sequential", "batched"):
+        for transport in ("object", "wire"):
             rows.append(
                 measure_paper_scale(
-                    nodes, cycles, seed=seed, verification=mode
+                    nodes, cycles, seed=seed, transport=transport
                 )
             )
     return PaperScaleReport(scale=scale.value, seed=seed, rows=tuple(rows))
@@ -313,7 +307,7 @@ def run_scale_stress(scale: Optional[Scale] = None, seed: int = 7) -> StressRepo
             trace=engine.trace,
         )
         joiner.bind_network(engine.network)
-        engine.add_node(joiner)  # binds the shared verification plan
+        engine.add_node(joiner)  # picks the chain verifier
         bootstrap_joiner(joiner, donors, links=3, rng=churn_rng)
         joined += 1
 

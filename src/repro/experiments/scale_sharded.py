@@ -87,12 +87,7 @@ def _build_overlay(nodes: int, seed: int):
 
     return build_secure_overlay(
         n=nodes,
-        # Batched verification, same as the `scale` experiment's
-        # headline rows: the per-shard digest memo answers repeat
-        # sightings of wire-decoded cross-shard chains with one probe.
-        config=SecureCyclonConfig(
-            view_length=20, swap_length=3, verification="batched"
-        ),
+        config=SecureCyclonConfig(view_length=20, swap_length=3),
         seed=seed,
         sim_config=SimConfig(seed=seed, trace=False),
     )

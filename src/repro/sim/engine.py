@@ -31,7 +31,7 @@ from repro.sim.observers import Observer
 from repro.sim.rng import RngHub
 from repro.sim.scheduler import CycleScheduler, Scheduler
 from repro.sim.trace import EventTrace
-from repro.sim.transport import make_transport
+from repro.sim.transport import WireTransport, make_transport
 
 #: Run-loop interception point for the ops plane.  ``None`` in normal
 #: operation; :func:`repro.ops.checkpoint.split_runs` installs a
@@ -159,11 +159,11 @@ class Engine:
         self._legit_cache: Optional[Set[Any]] = None
         self._order_buffer: List[Any] = []
         # Engine-wide batched-verification plan (repro.crypto.batch):
-        # created lazily on first request and shared by every node the
-        # scenario builder binds it to, so each distinct ownership
-        # chain is verified once network-wide per cycle.  Stays None on
-        # sequential-verification runs; the schedulers reset it at
-        # every cycle boundary when it exists.
+        # created lazily when add_node binds the first wire-transport
+        # node, so each distinct ownership chain is verified once
+        # network-wide per cycle.  Stays None on object-transport runs;
+        # the schedulers reset it at every cycle boundary when it
+        # exists.
         self._verification_plan: Optional[Any] = None
         # Optional repro.ops.checkpoint.CheckpointPolicy: both
         # schedulers call ``after_cycle`` on it at every completed
@@ -201,20 +201,27 @@ class Engine:
     def add_node(self, node: ProtocolNode) -> None:
         """Attach ``node`` to the universe and the network directory.
 
-        Nodes configured for batched verification (they carry a private
-        plan) are rebound to the engine-wide shared plan here, so every
-        construction site — scenario builders, churn joiners, ad-hoc
-        experiments — gets network-wide verdict sharing without its own
-        wiring.  Only nodes verifying against this engine's registry
-        qualify; anything else keeps its private plan.
+        This is where the chain verifier is chosen, once per node.  On
+        the wire transport every receiver decodes fresh descriptor
+        shells, so the per-object verified memo never hits; nodes that
+        verify against this engine's registry get the engine-wide
+        :class:`~repro.crypto.batch.VerificationPlan`, whose memo keys
+        on the chain content the decoder already fingerprinted.  On the
+        object transport receivers share the sender's objects and the
+        per-object memo already removes repeat work, so nodes keep the
+        sequential :func:`~repro.core.descriptor.verify_descriptor`.
+        Both verifiers return identical verdicts: a later transport
+        swap changes speed, never results.
         """
         if node.node_id in self.nodes:
             raise SimulationError(f"duplicate node id {node.node_id!r}")
+        bind = getattr(node, "bind_verification_plan", None)
         if (
-            getattr(node, "_vplan", None) is not None
+            bind is not None
+            and isinstance(self.network.message_transport, WireTransport)
             and getattr(node, "registry", None) is self.registry
         ):
-            node.bind_verification_plan(self.verification_plan())
+            bind(self.verification_plan())
         self.nodes[node.node_id] = node
         self.network.attach(node.node_id, node)
         self._alive_list.append(node.node_id)

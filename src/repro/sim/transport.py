@@ -18,13 +18,13 @@ never catch a serialisation bug.  This module makes the choice explicit:
   codec is lossless and consumes no randomness, so seeded runs produce
   byte-identical outputs under both transports (golden-guarded); what
   changes is the *work*: shared-object identity no longer short-circuits
-  verification, which is the regime where batched verification
-  (``verification=batched``) pays off network-wide.
+  verification, so :meth:`~repro.sim.engine.Engine.add_node` binds
+  wire-transport nodes to the engine's batched verification plan.
 
-Selection mirrors the ``verification=`` knob: both protocol configs
-carry ``transport=`` (``"object"``/``"wire"``/``None``), ``None``
-resolves through the ``REPRO_TRANSPORT`` environment variable, and the
-default stays ``object``.  :func:`make_transport` turns the resolved
+Both protocol configs carry ``transport=`` (``"object"``/``"wire"``/
+``None``), ``None`` resolves through the ``REPRO_TRANSPORT``
+environment variable, and the default stays ``object``.
+:func:`make_transport` turns the resolved
 mode (or an already-built :class:`Transport`) into an instance for
 :class:`~repro.sim.network.Network`.
 """
@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 #: Accepted values of the ``transport=`` knob.
 TRANSPORT_MODES = ("object", "wire")
 
-#: Environment override for the knob, mirroring ``REPRO_VERIFICATION``:
+#: Environment override for the knob, mirroring ``REPRO_SCALE``:
 #: a config whose ``transport`` is ``None`` resolves through this
 #: variable, so the whole harness (and the golden equivalence guard)
 #: can flip transports without touching any call site.

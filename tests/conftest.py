@@ -54,3 +54,35 @@ def minted(keypairs, addresses):
 @pytest.fixture
 def small_config():
     return SecureCyclonConfig(view_length=8, swap_length=3)
+
+
+@pytest.fixture
+def force_verifier(monkeypatch):
+    """Pin the chain verifier of every engine-built node, whatever the
+    transport: ``force_verifier("batched")`` binds the engine-wide
+    plan, ``force_verifier("sequential")`` leaves ``verify_descriptor``.
+
+    ``Engine.add_node`` normally picks from the transport; the two
+    verifiers return identical verdicts, so pinning either one on
+    either transport must not change a single result.
+    """
+    from repro.sim.engine import Engine
+
+    def _force(verification: str) -> None:
+        assert verification in ("sequential", "batched")
+        add_node = Engine.add_node
+
+        def add_node_pinned(engine, node):
+            add_node(engine, node)
+            if getattr(node, "registry", None) is not engine.registry:
+                return
+            if not hasattr(node, "bind_verification_plan"):
+                return
+            if verification == "batched":
+                node.bind_verification_plan(engine.verification_plan())
+            else:
+                node._vplan = None
+
+        monkeypatch.setattr(Engine, "add_node", add_node_pinned)
+
+    return _force

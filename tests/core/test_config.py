@@ -44,37 +44,3 @@ def test_effective_timestamp_tolerance_defaults_to_period():
 def test_validation(kwargs):
     with pytest.raises(ConfigError):
         SecureCyclonConfig(**kwargs)
-
-
-def test_verification_knob_validation_and_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_VERIFICATION", raising=False)
-    assert SecureCyclonConfig().effective_verification() == "sequential"
-    explicit = SecureCyclonConfig(verification="batched")
-    assert explicit.effective_verification() == "batched"
-    with pytest.raises(ConfigError):
-        SecureCyclonConfig(verification="vectorized")
-
-
-def test_verification_env_override_resolves_at_call_time(monkeypatch):
-    config = SecureCyclonConfig()
-    monkeypatch.setenv("REPRO_VERIFICATION", "batched")
-    assert config.effective_verification() == "batched"
-    # Explicit values beat the environment.
-    pinned = SecureCyclonConfig(verification="sequential")
-    assert pinned.effective_verification() == "sequential"
-    monkeypatch.setenv("REPRO_VERIFICATION", "nonsense")
-    with pytest.raises(ConfigError):
-        config.effective_verification()
-
-
-def test_cyclon_config_accepts_the_knob_uniformly(monkeypatch):
-    from repro.cyclon.config import CyclonConfig
-
-    monkeypatch.delenv("REPRO_VERIFICATION", raising=False)
-    assert CyclonConfig().effective_verification() == "sequential"
-    assert (
-        CyclonConfig(verification="batched").effective_verification()
-        == "batched"
-    )
-    with pytest.raises(ConfigError):
-        CyclonConfig(verification="bogus")

@@ -283,10 +283,13 @@ def test_conflicting_samples_produce_blacklisting_and_purge():
     branch_2 = base.transfer(c.keypair, b.node_id)
     give(c, a, timestamp=-10.0)  # a holds a link to the future culprit
 
-    assert a._observe(branch_1, engine.network)
+    a._observe_all([branch_1], engine.network)
+    assert a.sample_cache.get(branch_1.identity) is branch_1
     assert not a.blacklist.is_blacklisted(c.node_id)
-    a._observe(branch_2, engine.network)
+    a._observe_all([branch_2], engine.network)
     assert a.blacklist.is_blacklisted(c.node_id)
+    # The first branch stays cached; the fork never replaced it.
+    assert a.sample_cache.get(branch_1.identity) is branch_1
     # The view was purged of the culprit's descriptors.
     assert not a.view.contains_creator(c.node_id)
     assert engine.trace.count("secure.violation_found") >= 1
@@ -298,8 +301,7 @@ def test_proof_flood_reaches_neighbors():
     base = mint(e.keypair, e.address, 0.0).transfer(e.keypair, c.node_id)
     branch_1 = base.transfer(c.keypair, a.node_id)
     branch_2 = base.transfer(c.keypair, d_node.node_id)
-    a._observe(branch_1, engine.network)
-    a._observe(branch_2, engine.network)
+    a._observe_all([branch_1, branch_2], engine.network)
     assert a.blacklist.is_blacklisted(c.node_id)
     assert b.blacklist.is_blacklisted(c.node_id)  # via the flood
 
@@ -333,10 +335,14 @@ def test_blacklist_disabled_traces_but_does_not_act():
     )
     engine, (a, b, c, d_node, e) = build_world(config=config)
     base = mint(e.keypair, e.address, 0.0).transfer(e.keypair, c.node_id)
-    a._observe(base.transfer(c.keypair, a.node_id), engine.network)
-    a._observe(base.transfer(c.keypair, b.node_id), engine.network)
+    owned = base.transfer(c.keypair, a.node_id)
+    assert a._observe_validated(owned, engine.network)
+    assert a.sample_cache.get(owned.identity) is owned
+    clone = base.transfer(c.keypair, b.node_id)
+    assert a._observe_validated(clone, engine.network)
     assert engine.trace.count("secure.violation_found") == 1
     assert not a.blacklist.is_blacklisted(c.node_id)
+    assert a.sample_cache.get(owned.identity) is owned
 
 
 def test_mint_guard_once_per_cycle():

@@ -324,20 +324,25 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
 
 
 def test_overlay_under_attack_exercises_shared_plan_invalidation():
-    """End-to-end: a batched-verification overlay under a hub attack
-    matches the sequential overlay node-for-node, and the blacklisting
-    wave actually exercised the shared plan's invalidation hook."""
+    """End-to-end on the object transport: binding the shared plan to
+    every node of an overlay under a hub attack matches the sequential
+    overlay node-for-node, and the blacklisting wave actually exercised
+    the shared plan's invalidation hook."""
 
-    def run(mode):
+    def run(bind_plan):
         overlay = build_secure_overlay(
             n=40,
             config=SecureCyclonConfig(
-                view_length=8, swap_length=3, verification=mode
+                view_length=8, swap_length=3, transport="object"
             ),
             malicious=4,
             attack_start=2,
             seed=11,
         )
+        if bind_plan:
+            plan = overlay.engine.verification_plan()
+            for node in overlay.engine.nodes.values():
+                node.bind_verification_plan(plan)
         overlay.run(6)
         snapshot = {
             node_id: (
@@ -352,13 +357,47 @@ def test_overlay_under_attack_exercises_shared_plan_invalidation():
         }
         return snapshot, overlay.engine
 
-    sequential, _ = run("sequential")
-    batched, engine = run("batched")
+    sequential, unplanned = run(False)
+    assert unplanned._verification_plan is None
+    batched, engine = run(True)
     assert sequential == batched
     plan = engine._verification_plan
-    assert plan is not None
     assert plan.invalidations > 0
     assert plan.chains_verified > 0
+
+
+@pytest.mark.parametrize("transport", ["object", "wire"])
+def test_add_node_binds_the_shared_plan_on_the_wire_only(transport):
+    """``Engine.add_node`` picks the verifier from the transport: the
+    engine-wide plan on the wire, ``verify_descriptor`` on objects —
+    and never the plan for a node verifying against another registry."""
+    from repro.core.node import SecureCyclonNode
+
+    config = SecureCyclonConfig(
+        view_length=4, swap_length=2, transport=transport
+    )
+    overlay = build_secure_overlay(n=6, config=config, seed=5)
+    engine = overlay.engine
+    bound = {node._vplan for node in engine.nodes.values()}
+    if transport == "wire":
+        assert engine._verification_plan is not None
+        assert bound == {engine._verification_plan}
+    else:
+        assert engine._verification_plan is None
+        assert bound == {None}
+
+    foreign_registry = KeyRegistry()
+    keypair = make_keypairs(foreign_registry, 1, seed=9)[0]
+    stranger = SecureCyclonNode(
+        keypair=keypair,
+        address=engine.network.reserve_address(keypair.public),
+        config=config,
+        clock=engine.clock,
+        registry=foreign_registry,
+        rng=random.Random(1),
+    )
+    engine.add_node(stranger)
+    assert stranger._vplan is None
 
 
 def test_content_key_distinguishes_every_field(registry):

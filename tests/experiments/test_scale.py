@@ -60,21 +60,18 @@ def test_scale_stress_is_deterministic():
 
 
 def test_paper_scale_smoke():
-    """Both verification modes complete and agree on overlay health."""
+    """Both transports complete and agree on overlay health."""
     from repro.experiments.scale import run_paper_scale
 
     report = run_paper_scale(scale=Scale.SMOKE, seed=3)
-    assert [row.verification for row in report.rows] == [
-        "sequential",
-        "batched",
-    ]
-    sequential, batched = report.rows
-    assert sequential.nodes == batched.nodes == 60
+    assert [row.transport for row in report.rows] == ["object", "wire"]
+    object_row, wire_row = report.rows
+    assert object_row.nodes == wire_row.nodes == 60
     # Same seed, same protocol decisions: the converged health metric
-    # must agree exactly across verification modes.
-    assert sequential.mean_view_fill == batched.mean_view_fill
-    assert sequential.cycles_per_second > 0
-    assert batched.cycles_per_second > 0
+    # must agree exactly across transports (and so across verifiers).
+    assert object_row.mean_view_fill == wire_row.mean_view_fill
+    assert object_row.cycles_per_second > 0
+    assert wire_row.cycles_per_second > 0
     rendered = report.render()
     assert "paper scale" in rendered
-    assert "batched" in rendered
+    assert "wire" in rendered

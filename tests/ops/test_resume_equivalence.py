@@ -1,8 +1,9 @@
 """The resume contract: checkpoint + fresh rebuild == unbroken run.
 
 The matrix runs {object, wire} transports × {sequential, batched}
-verification: a run checkpointed at its midpoint and resumed into a
-freshly built engine must reproduce the unbroken run's probe series
+chain verifiers (pinned past the transport's own choice): a run
+checkpointed at its midpoint and resumed into a freshly built engine
+must reproduce the unbroken run's probe series
 and final node state exactly — every RNG stream, view, cache,
 blacklist, adversary pool, and counter carried over bit-for-bit.
 
@@ -19,7 +20,7 @@ import dataclasses
 import pytest
 
 from repro.adversary.cloning import CloningAttacker
-from repro.core.config import ENV_VERIFICATION, SecureCyclonConfig
+from repro.core.config import SecureCyclonConfig
 from repro.cyclon.config import CyclonConfig
 from repro.errors import CheckpointError, ConfigError, SimulationError
 from repro.experiments.scenarios import build_cyclon_overlay, build_secure_overlay
@@ -71,12 +72,17 @@ def _node_state(overlay):
 @pytest.mark.parametrize("transport", ["object", "wire"])
 @pytest.mark.parametrize("verification", ["sequential", "batched"])
 def test_resume_matches_unbroken_run(
-    monkeypatch, tmp_path, transport, verification
+    monkeypatch, force_verifier, tmp_path, transport, verification
 ):
     monkeypatch.setenv(ENV_TRANSPORT, transport)
-    monkeypatch.setenv(ENV_VERIFICATION, verification)
+    force_verifier(verification)
 
     unbroken, unbroken_obs = _build()
+    assert {
+        node._vplan is not None
+        for node in unbroken.engine.nodes.values()
+        if hasattr(node, "_vplan")
+    } == {verification == "batched"}
     unbroken.run(CYCLES)
 
     first, _ = _build()

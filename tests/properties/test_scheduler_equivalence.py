@@ -63,37 +63,25 @@ def test_cycle_scheduler_matches_pre_refactor_engine(name):
     assert _CAPTURES[name]() + "\n" == expected
 
 
-@pytest.mark.parametrize("name", sorted(_CAPTURES))
-def test_batched_verification_matches_goldens(name, monkeypatch):
-    """``verification=batched`` is bit-for-bit the sequential verifier.
-
-    The batched kernel (``repro.crypto.batch``) replaces *how* chains
-    are verified, never *what* is decided: flipping the whole harness
-    to batched mode via the environment override must reproduce the
-    committed golden series byte for byte — same RNG stream, same
-    accepts, same blacklists, same figures.
-    """
-    monkeypatch.setenv("REPRO_VERIFICATION", "batched")
-    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert _CAPTURES[name]() + "\n" == expected
-
-
 @pytest.mark.golden_wire
 @pytest.mark.parametrize("verification", ["sequential", "batched"])
 @pytest.mark.parametrize("name", sorted(_CAPTURES))
-def test_wire_transport_matches_goldens(name, verification, monkeypatch):
+def test_wire_transport_matches_goldens(
+    name, verification, monkeypatch, force_verifier
+):
     """``transport=wire`` is bit-for-bit the shared-object simulator.
 
     The wire transport replaces *how* messages travel — every dialogue
     leg and push framed to bytes and decoded fresh at the receiver —
     never *what* they say: the codec is lossless and consumes no RNG,
     so flipping the whole harness to wire mode via the environment
-    override must reproduce the committed golden series byte for byte,
-    under both verification modes (the acceptance bar for making the
-    codec a load-bearing subsystem).
+    override must reproduce the committed golden series byte for byte.
+    The wire picks the engine's batched plan as its chain verifier;
+    pinning the sequential walk instead must not move a byte either,
+    since both verifiers return identical verdicts.
     """
     monkeypatch.setenv("REPRO_TRANSPORT", "wire")
-    monkeypatch.setenv("REPRO_VERIFICATION", verification)
+    force_verifier(verification)
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _CAPTURES[name]() + "\n" == expected
 

@@ -212,9 +212,11 @@ def test_far_future_timestamp_rejected_by_drifted_receiver():
         forger.address,
         receiver.clock.now_s + tolerance + 100.0,
     ).transfer(forger.keypair, forger.node_id)
-    assert receiver._observe(forged, None) is False
+    receiver._observe_all([forged], None)
+    assert receiver.sample_cache.get(forged.identity) is None
     # The same stamp inside the tolerance window is acceptable.
     near = mint(
         forger.keypair, forger.address, receiver.clock.now_s + tolerance / 2
     ).transfer(forger.keypair, forger.node_id)
-    assert receiver._observe(near, None) is True
+    receiver._observe_all([near], None)
+    assert receiver.sample_cache.get(near.identity) is near
