@@ -26,11 +26,25 @@ from repro.cyclon.descriptor import CyclonDescriptor
 from repro.cyclon.node import CyclonNode
 
 
-def random_targets(node_ids: Sequence, count: int, exclude, rng) -> List:
-    """``count`` distinct random IDs from ``node_ids``, excluding one."""
-    pool = [node_id for node_id in node_ids if node_id != exclude]
-    count = min(count, len(pool))
-    return rng.sample(pool, count)
+def random_targets(
+    node_ids: Sequence, count: int, exclude_index: int, rng
+) -> List:
+    """``count`` distinct random IDs from ``node_ids``, excluding the one
+    at position ``exclude_index``.
+
+    ``rng.sample`` draws only indices below its population's length, so
+    sampling ``range(n - 1)`` and shifting every index at or past
+    ``exclude_index`` up by one returns the same IDs, and leaves ``rng``
+    in the same state, as sampling a pool of the other ``n - 1`` IDs —
+    without building that pool, so a call costs O(count), not O(n).
+
+    The bootstrappers pass ``node_ids = list(nodes)`` and the index
+    from ``enumerate(nodes.values())``: a dict yields its keys and
+    values in the same order, so the index is the node's own position.
+    """
+    others = len(node_ids) - 1
+    picks = rng.sample(range(others), min(count, others))
+    return [node_ids[i + (i >= exclude_index)] for i in picks]
 
 
 def bootstrap_cyclon(nodes: Dict, view_length: int, rng) -> None:
@@ -41,8 +55,8 @@ def bootstrap_cyclon(nodes: Dict, view_length: int, rng) -> None:
     converged overlay rather than a synchronized burst.
     """
     node_ids = list(nodes)
-    for node in nodes.values():
-        for target_id in random_targets(node_ids, view_length, node.node_id, rng):
+    for index, node in enumerate(nodes.values()):
+        for target_id in random_targets(node_ids, view_length, index, rng):
             target = nodes[target_id]
             descriptor = CyclonDescriptor(
                 node_id=target.node_id,
@@ -63,8 +77,8 @@ def bootstrap_secure(nodes: Dict, view_length: int, rng) -> None:
     """
     node_ids = list(nodes)
     mints_so_far: Dict = {node_id: 0 for node_id in node_ids}
-    for node in nodes.values():
-        for target_id in random_targets(node_ids, view_length, node.node_id, rng):
+    for index, node in enumerate(nodes.values()):
+        for target_id in random_targets(node_ids, view_length, index, rng):
             target = nodes[target_id]
             mints_so_far[target_id] += 1
             backdate_cycles = mints_so_far[target_id]

@@ -712,7 +712,16 @@ class SecureCyclonNode(ProtocolNode):
         return creator not in blacklisted
 
     def _ingest_proofs(self, proofs, network) -> None:
+        # Most relayed proofs name a culprit this node already holds
+        # (every dialogue carries the sender's whole blacklist): skip
+        # them with one dict probe, the same early return _adopt_proof
+        # would take.
+        node_id = self.node_id
+        blacklisted = self._blacklist_map
         for proof in proofs:
+            culprit = proof.culprit
+            if culprit in blacklisted or culprit == node_id:
+                continue
             self._adopt_proof(proof, network, already_validated=False)
 
     def _adopt_proof(
