@@ -1,10 +1,10 @@
 """Record the core-ops benchmark timings to ``BENCH_core.json``.
 
-This is the perf-trajectory writer the ROADMAP asks for: it measures
-the same kernels as ``bench_core_ops.py`` — descriptor transfer, cold
-chain verification, sample-cache observation, and the 200-node full
-simulated cycle — without requiring pytest, and merges the results
-into ``BENCH_core.json`` under a label.  Committing a ``seed`` entry
+This is the perf-trajectory writer: it times the core kernels —
+descriptor transfer, cold chain verification, sample-cache
+observation, and the 200-node full simulated cycle — plus the
+``bench_batch_verify`` and ``bench_codec`` micro-kernels, and merges
+the results into ``BENCH_core.json`` under a label.  Committing a ``seed`` entry
 and an entry per optimisation PR turns the file into the repository's
 recorded performance history, and ``scripts/check.sh`` uses the most
 recent entry as the regression budget.
@@ -15,8 +15,8 @@ Usage::
     PYTHONPATH=src python benchmarks/baseline.py --label seed --rounds 9
 
 Both mean and min are recorded.  On shared CI hardware the min is the
-robust statistic (noise only ever adds time); the mean is what the
-pytest benchmark reports historically tracked.
+robust statistic (noise only ever adds time); the mean is kept for
+continuity with the oldest entries.
 """
 
 from __future__ import annotations

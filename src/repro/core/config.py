@@ -20,25 +20,9 @@ class SecureCyclonConfig:
     ``redemption_cache_cycles``
         How long a redeemed descriptor is kept and gossiped as a sample
         (paper §V-C; Fig 7 sweeps 0/2/5/10 cycles).
-    ``sample_horizon_cycles``
-        How long observed descriptor samples stay in the cross-check
-        cache.  The paper says nodes cache "all descriptors they have
-        seen"; descriptors live ~ℓ cycles, so a bounded horizon (default
-        2ℓ) is functionally equivalent with bounded memory (DESIGN.md).
-        ``None`` selects the default.
     ``tit_for_tat``
         One-descriptor-per-round-trip transfers (§V-B).  Disabled for
         the Fig 6 "before" columns.
-    ``timestamp_tolerance_seconds``
-        Maximum clock deviation accepted on freshly minted descriptors
-        (§IV-A).  ``None`` selects one gossip period.
-    ``non_swappable_swap_limit``
-        Optional cap on descriptors swapped in an exchange opened with a
-        non-swappable redemption (§V-A, third restriction).
-    ``drop_chains_through_blacklisted``
-        If true, also discard descriptors whose ownership chain passes
-        through a blacklisted node (ablation; the paper only requires
-        dropping descriptors *created by* blacklisted nodes).
     ``blacklist_enabled``
         If false, violations are still detected and traced but no
         blacklisting, purging, or flooding happens.  Used by the Fig 7
@@ -86,11 +70,7 @@ class SecureCyclonConfig:
     view_length: int = 20
     swap_length: int = 3
     redemption_cache_cycles: int = 5
-    sample_horizon_cycles: Optional[int] = None
     tit_for_tat: bool = True
-    timestamp_tolerance_seconds: Optional[float] = None
-    non_swappable_swap_limit: Optional[int] = None
-    drop_chains_through_blacklisted: bool = False
     blacklist_enabled: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     frequency_tolerance_seconds: float = 0.0
@@ -109,21 +89,6 @@ class SecureCyclonConfig:
             )
         if self.redemption_cache_cycles < 0:
             raise ConfigError("redemption_cache_cycles must be >= 0")
-        if (
-            self.sample_horizon_cycles is not None
-            and self.sample_horizon_cycles < 1
-        ):
-            raise ConfigError("sample_horizon_cycles must be >= 1")
-        if (
-            self.timestamp_tolerance_seconds is not None
-            and self.timestamp_tolerance_seconds < 0
-        ):
-            raise ConfigError("timestamp_tolerance_seconds must be >= 0")
-        if (
-            self.non_swappable_swap_limit is not None
-            and self.non_swappable_swap_limit < 0
-        ):
-            raise ConfigError("non_swappable_swap_limit must be >= 0")
         if self.frequency_tolerance_seconds < 0:
             raise ConfigError("frequency_tolerance_seconds must be >= 0")
 
@@ -139,15 +104,17 @@ class SecureCyclonConfig:
 
     @property
     def effective_sample_horizon(self) -> int:
-        """Sample-cache horizon in cycles (defaults to 2ℓ)."""
-        if self.sample_horizon_cycles is not None:
-            return self.sample_horizon_cycles
+        """Sample-cache horizon in cycles: 2ℓ.
+
+        The paper says nodes cache "all descriptors they have seen";
+        descriptors live ~ℓ cycles, so a 2ℓ horizon is functionally
+        equivalent with bounded memory (DESIGN.md).
+        """
         return 2 * self.view_length
 
     def effective_timestamp_tolerance(self, period_seconds: float) -> float:
-        """Clock-deviation tolerance (defaults to one gossip period)."""
-        if self.timestamp_tolerance_seconds is not None:
-            return self.timestamp_tolerance_seconds
+        """Maximum clock deviation accepted on freshly minted
+        descriptors (§IV-A): one gossip period."""
         return period_seconds
 
     def effective_frequency_period(self, period_seconds: float) -> float:

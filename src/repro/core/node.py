@@ -109,7 +109,6 @@ class SecureCyclonNode(ProtocolNode):
         # attribute chains are hoisted once here.  The blacklist dict is
         # never replaced, only mutated, so the alias stays valid.
         self._blacklist_map = self.blacklist.by_culprit
-        self._drop_chains = config.drop_chains_through_blacklisted
         # The engine-wide shared plan, bound by Engine.add_node on the
         # wire transport; ``None`` selects verify_descriptor everywhere.
         self._vplan: Optional[VerificationPlan] = None
@@ -466,16 +465,10 @@ class SecureCyclonNode(ProtocolNode):
                 proofs=self._proof_against(sender_id),
             )
 
-        swap_budget = self.config.swap_length
-        if (
-            opening.non_swappable
-            and self.config.non_swappable_swap_limit is not None
-        ):
-            swap_budget = min(swap_budget, self.config.non_swappable_swap_limit)
         self._sessions[sender_id] = _PartnerSession(
             initiator=sender_id,
             rounds_left=self.config.swap_length,
-            swap_budget=swap_budget,
+            swap_budget=self.config.swap_length,
         )
         return GossipAccept(
             samples=self._samples_payload(),
@@ -672,7 +665,6 @@ class SecureCyclonNode(ProtocolNode):
                 self.registry,
                 self._blacklist_map,
                 self.clock.now_s + self._tolerance_cached,
-                self._drop_chains,
                 self._adopt_proof,
                 network,
                 plan,
@@ -684,7 +676,6 @@ class SecureCyclonNode(ProtocolNode):
             self.registry,
             self._blacklist_map,
             self.clock.now_s + self._tolerance_cached,
-            self._drop_chains,
             self._adopt_proof,
             network,
         )
@@ -692,7 +683,7 @@ class SecureCyclonNode(ProtocolNode):
     def _observe_validated(self, descriptor: SecureDescriptor, network) -> bool:
         """The §IV-B tail for one descriptor whose chain and timestamp
         were already checked (right after
-        :meth:`_validate_incoming_transfer`): blacklist filters, then
+        :meth:`_validate_incoming_transfer`): the blacklist filter, then
         the sample cache's insertion rules, adopting any proof found.
 
         Returns True if the descriptor is acceptable for further use
@@ -700,10 +691,6 @@ class SecureCyclonNode(ProtocolNode):
         blacklisted = self._blacklist_map
         creator = descriptor.creator
         if creator in blacklisted:
-            return False
-        if self._drop_chains and any(
-            owner in blacklisted for owner in descriptor.owners()
-        ):
             return False
         proofs = self.sample_cache.observe(descriptor, self.current_cycle)
         if proofs:
@@ -759,10 +746,6 @@ class SecureCyclonNode(ProtocolNode):
 
     def _purge_culprit(self, culprit: PublicKey) -> None:
         self.view.purge_creator(culprit)
-        if self.config.drop_chains_through_blacklisted:
-            self.view.purge_if(
-                lambda entry: culprit in entry.descriptor.owners()
-            )
         self.sample_cache.forget_creator(culprit)
         self._sessions.pop(culprit, None)
         if self._vplan is not None:

@@ -93,7 +93,6 @@ class SampleCache:
             (descriptor,),
             cycle,
             _NOTHING_BLACKLISTED,
-            False,
             lambda proof, _network, _validated: found.append(proof),
             None,
         )
@@ -106,7 +105,6 @@ class SampleCache:
         registry,
         blacklisted: dict,
         deadline: float,
-        drop_chains: bool,
         adopt,
         network,
     ) -> None:
@@ -121,10 +119,10 @@ class SampleCache:
         ``blacklisted`` is the live blacklist dict (mutated by
         adoption), ``deadline`` the timestamp acceptance bound.
 
-        The four pure screens (chain verification, timestamp bound,
-        blacklist membership, tainted-chain ownership) run as one flat
-        pass over the whole batch, and only the survivors enter the
-        stateful insertion loop.  The split is behaviour-preserving
+        The three pure screens (chain verification, timestamp bound,
+        blacklist membership) run as one flat pass over the whole
+        batch, and only the survivors enter the stateful insertion
+        loop.  The split is behaviour-preserving
         because the screens are pure with respect to batch state
         *until the first adoption*: the blacklist only ever grows, and
         the insertion loop watches its size, re-applying the blacklist
@@ -143,22 +141,15 @@ class SampleCache:
                 continue
             if descriptor.creator in blacklisted:
                 continue
-            if drop_chains and any(
-                owner in blacklisted for owner in descriptor.owners()
-            ):
-                continue
             keep(descriptor)
         if survivors:
-            self._insert(
-                survivors, cycle, blacklisted, drop_chains, adopt, network
-            )
+            self._insert(survivors, cycle, blacklisted, adopt, network)
 
     def _insert(
         self,
         survivors,
         cycle: int,
         blacklisted,
-        drop_chains: bool,
         adopt,
         network,
     ) -> None:
@@ -185,13 +176,8 @@ class SampleCache:
         screened_size = len(blacklisted)
         for descriptor in survivors:
             creator = descriptor.creator
-            if len(blacklisted) != screened_size:
-                if creator in blacklisted:
-                    continue
-                if drop_chains and any(
-                    owner in blacklisted for owner in descriptor.owners()
-                ):
-                    continue
+            if len(blacklisted) != screened_size and creator in blacklisted:
+                continue
             ts = descriptor.timestamp
             slot = by_creator.get(creator)
             if slot is None:
@@ -270,7 +256,6 @@ class SampleCache:
         registry,
         blacklisted: dict,
         deadline: float,
-        drop_chains: bool,
         adopt,
         network,
         plan,
@@ -313,7 +298,6 @@ class SampleCache:
             registry,
             blacklisted,
             deadline,
-            drop_chains,
             adopt,
             network,
         )

@@ -348,14 +348,3 @@ class SecureView:
         ]
         self._reindex()
         return before - len(self._entries)
-
-    def purge_if(self, predicate) -> int:
-        """Drop entries matching ``predicate``; returns how many."""
-        self._sync()
-        before = len(self._entries)
-        self._entries = [
-            entry for entry in self._entries if not predicate(entry)
-        ]
-        if len(self._entries) != before:
-            self._reindex()
-        return before - len(self._entries)

@@ -16,17 +16,11 @@ def test_defaults_match_paper_proposal():
 
 def test_effective_sample_horizon_defaults_to_twice_view():
     assert SecureCyclonConfig(view_length=20).effective_sample_horizon == 40
-    assert (
-        SecureCyclonConfig(sample_horizon_cycles=7).effective_sample_horizon
-        == 7
-    )
 
 
 def test_effective_timestamp_tolerance_defaults_to_period():
     config = SecureCyclonConfig()
     assert config.effective_timestamp_tolerance(10.0) == 10.0
-    custom = SecureCyclonConfig(timestamp_tolerance_seconds=3.0)
-    assert custom.effective_timestamp_tolerance(10.0) == 3.0
 
 
 @pytest.mark.parametrize(
@@ -36,9 +30,8 @@ def test_effective_timestamp_tolerance_defaults_to_period():
         {"swap_length": 0},
         {"view_length": 3, "swap_length": 4},
         {"redemption_cache_cycles": -1},
-        {"sample_horizon_cycles": 0},
-        {"timestamp_tolerance_seconds": -1.0},
-        {"non_swappable_swap_limit": -1},
+        {"frequency_tolerance_seconds": -1.0},
+        {"transport": "carrier-pigeon"},
     ],
 )
 def test_validation(kwargs):

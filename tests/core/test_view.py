@@ -90,13 +90,6 @@ def test_purge_creator(view, minted, keypairs):
     assert len(view) == 1
 
 
-def test_purge_if(view, minted, keypairs):
-    view.insert(owned(minted, keypairs, creator=0), non_swappable=True)
-    view.insert(owned(minted, keypairs, creator=1))
-    assert view.purge_if(lambda entry: entry.non_swappable) == 1
-    assert view.non_swappable_count() == 0
-
-
 def test_remove_identity(view, minted, keypairs):
     d = owned(minted, keypairs, creator=0)
     view.insert(d)

@@ -304,7 +304,7 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
     # holds its digest), then the forked pair — adoption fires mid-batch.
     cache_a.observe_stream_planned(
         [rebuild(honest_by_culprit), rebuild(clone_a), rebuild(clone_b)],
-        7, registry, blacklist_a, 1000.0, False, adopt_a, None, plan,
+        7, registry, blacklist_a, 1000.0, adopt_a, None, plan,
     )
     assert culprit in blacklist_a
     assert [p.kind for p in proofs_a] == ["cloning"]
@@ -317,7 +317,7 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
 
     cache_b.observe_stream_planned(
         [rebuild(honest_by_culprit)],
-        7, registry, blacklist_b, 1000.0, False, adopt_b, None, plan,
+        7, registry, blacklist_b, 1000.0, adopt_b, None, plan,
     )
     assert len(cache_b) == 0
     assert cache_b.get(honest_by_culprit.identity) is None

@@ -210,7 +210,6 @@ def _run_sequential(descriptors, pre_blacklisted):
         registry=harness.registry,
         blacklisted=harness.blacklist,
         deadline=DEADLINE,
-        drop_chains=False,
         adopt=harness.adopt,
         network=None,
     )
@@ -227,7 +226,6 @@ def _run_batched(descriptors, pre_blacklisted):
         registry=harness.registry,
         blacklisted=harness.blacklist,
         deadline=DEADLINE,
-        drop_chains=False,
         adopt=harness.adopt,
         network=None,
         plan=plan,
@@ -271,7 +269,7 @@ def test_two_message_streams_match_across_shared_plan_state(spec, split):
     rebuilt = [_rebuild(d) for d in descriptors]
     for part in (rebuilt[:cut], rebuilt[cut:]):
         seq.cache.observe_stream(
-            part, 1, seq.registry, seq.blacklist, DEADLINE, False,
+            part, 1, seq.registry, seq.blacklist, DEADLINE,
             seq.adopt, None,
         )
 
@@ -281,7 +279,7 @@ def test_two_message_streams_match_across_shared_plan_state(spec, split):
     rebuilt = [_rebuild(d) for d in descriptors]
     for part in (rebuilt[:cut], rebuilt[cut:]):
         bat.cache.observe_stream_planned(
-            part, 1, bat.registry, bat.blacklist, DEADLINE, False,
+            part, 1, bat.registry, bat.blacklist, DEADLINE,
             bat.adopt, None, plan,
         )
     assert seq.snapshot() == bat.snapshot()
