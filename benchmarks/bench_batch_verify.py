@@ -11,7 +11,8 @@ Two workloads, both dominated by chain verification and nothing else:
   ``receivers`` nodes each receive their own wire-rebuilt copy of the
   same message within one cycle.  Sequential verification re-walks
   every copy per receiver; the shared plan MAC-checks each distinct
-  chain once and answers the rest from the cycle digest memo.
+  chain once and answers the rest from its verdict memo.  Each round
+  starts from a fresh plan, so no round rides an earlier round's memo.
 
 Used three ways: standalone (``PYTHONPATH=src python
 benchmarks/bench_batch_verify.py``), imported by
@@ -96,11 +97,10 @@ def bench_cold(
                 raise AssertionError("honest chain failed")
     sequential_s = time.perf_counter() - start
 
-    plan = VerificationPlan(registry)
     start = time.perf_counter()
-    for cycle, batch in enumerate(bat_rounds):
+    for batch in bat_rounds:
         registry.trusted_chain_digests.clear()
-        plan.begin_cycle(cycle)  # cold: no cross-cycle memo help
+        plan = VerificationPlan(registry)  # cold: no memo from earlier rounds
         if not all(plan.verify_batch(batch)):
             raise AssertionError("honest chain failed")
     batched_s = time.perf_counter() - start
@@ -139,11 +139,10 @@ def bench_fanout(
                 verify_descriptor(descriptor, registry)
     sequential_s = time.perf_counter() - start
 
-    plan = VerificationPlan(registry)
     start = time.perf_counter()
-    for cycle, deliveries in enumerate(bat_rounds):
+    for deliveries in bat_rounds:
         registry.trusted_chain_digests.clear()
-        plan.begin_cycle(cycle)
+        plan = VerificationPlan(registry)
         for batch in deliveries:
             plan.verify_batch(batch)
     batched_s = time.perf_counter() - start

@@ -140,14 +140,18 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 # Gate benchmark self-check: the suite's own tests (tier-1 does not
-# collect them), then one untraced hub40_wire pass and one untraced
-# build_4k pass.  Their exit codes cover the seed-42 digests recorded
-# in expected_digests.json and the wire == object twin digest under the
-# hub attack.  build_4k's digest pins the bootstrap's RNG stream at a
-# population no golden covers (tests/test_bootstrap.py pins the linear
-# cost: its sampler test fails if a build compares node ids).
-echo "== gate benchmark (suite tests; hub40_wire and build_4k digest and twin checks) =="
+# collect them), then one untraced pass each of steady_wire, hub40_wire
+# and build_4k.  Their exit codes cover the seed-42 digests recorded in
+# expected_digests.json and the wire == object twin digest, honest
+# (steady_wire, where the verification plan's verdict memo carries the
+# most traffic across cycles) and under the hub attack.  build_4k's
+# digest pins the bootstrap's RNG stream at a population no golden
+# covers (tests/test_bootstrap.py pins the linear cost: its sampler
+# test fails if a build compares node ids).
+echo "== gate benchmark (suite tests; steady_wire, hub40_wire and build_4k digest and twin checks) =="
 python -m pytest benchmarks/suite/tests -q
+python3 benchmarks/suite/run.py --workload steady_wire --seed 42 --trace 0 > /dev/null
+echo "steady_wire gate pass ok"
 python3 benchmarks/suite/run.py --workload hub40_wire --seed 42 --trace 0 > /dev/null
 echo "hub40_wire gate pass ok"
 python3 benchmarks/suite/run.py --workload build_4k --seed 42 --trace 0 > /dev/null

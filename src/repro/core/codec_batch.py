@@ -37,7 +37,7 @@ same accept/reject set, a fraction of the work:
   frame of a cycle (creator/owner public keys, whole ownership hops,
   descriptor identities, the 48-byte birth prelude) are decoded once
   per distinct byte-run and shared, analogous to the
-  :class:`~repro.crypto.batch.VerificationPlan` digest memo.  Interning
+  :class:`~repro.crypto.batch.VerificationPlan` verdict memo.  Interning
   is *content-addressed* and therefore safe for value objects — keys,
   hops, identities carry no per-receiver state.  Whole descriptors and
   proofs are **never** interned: each receiver must hold its own
@@ -69,7 +69,7 @@ injective (fixed-width fields, explicit hop count, exact-length
 check), so record bytes determine chain content; the ``person`` tag
 keeps this scheme's digests disjoint from the chain-walk encoding in
 :func:`repro.crypto.batch._content_key`.  Batched verification's
-cycle memo probe then costs one C-level hash computed as a side effect
+verdict memo probe then costs one C-level hash computed as a side effect
 of decoding, instead of a per-hop Python walk over the rebuilt chain.
 
 Nothing here consumes randomness, and the encoder's output is

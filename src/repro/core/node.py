@@ -132,11 +132,6 @@ class SecureCyclonNode(ProtocolNode):
         self._sessions.clear()
         self.sample_cache.expire(cycle)
         self.redemption_cache.expire(cycle)
-        if self._vplan is not None:
-            # Idempotent per cycle number: on a shared plan the first
-            # node (or the scheduler) to reach the boundary clears the
-            # digest memo, the rest are no-ops.
-            self._vplan.begin_cycle(cycle)
 
     def run_cycle(self, network: Network) -> None:
         """Initiate one gossip exchange by redeeming the oldest view entry.
@@ -648,7 +643,7 @@ class SecureCyclonNode(ProtocolNode):
 
         Unbound nodes call :func:`verify_descriptor` directly; nodes
         bound to a :class:`VerificationPlan` route through it so single
-        verifications share the cycle's cross-node digest memo with the
+        verifications share the cross-node verdict memo with the
         batched sample streams.  Both compute the identical predicate.
         """
         plan = self._vplan
@@ -749,8 +744,8 @@ class SecureCyclonNode(ProtocolNode):
         self.sample_cache.forget_creator(culprit)
         self._sessions.pop(culprit, None)
         if self._vplan is not None:
-            # Drop the culprit's chains from the shared digest memo so
-            # no same-cycle batch resolves them from a stale entry
+            # Drop the culprit's chains from the shared verdict memo so
+            # no later batch resolves them from a stale entry
             # (verdicts are blacklist-independent crypto, so this is
             # hygiene — every receiver still filters against its own
             # live blacklist — but it keeps the memo honest).
@@ -789,9 +784,9 @@ class SecureCyclonNode(ProtocolNode):
         """Adopt a shared batched-verification plan.
 
         :meth:`repro.sim.engine.Engine.add_node` calls this on the wire
-        transport, so chain verdicts are shared network-wide within a
-        cycle.  Binding a plan opts the node into the batched path —
-        the caller owns that decision.
+        transport, so chain verdicts are shared network-wide.  Binding
+        a plan opts the node into the batched path — the caller owns
+        that decision.
         """
         self._vplan = plan
 

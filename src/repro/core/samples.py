@@ -268,7 +268,7 @@ class SampleCache:
         effects (blacklisted creators, purged cache entries).  The only
         difference is the verification prologue: the whole batch is
         settled up front by ``plan.verify_batch`` (one flat MAC kernel
-        pass plus the cycle-scoped cross-node digest memo), so the
+        pass plus the cross-node verdict memo), so the
         per-descriptor loop tests nothing but the per-object memo the
         plan filled in.
 

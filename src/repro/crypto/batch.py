@@ -19,19 +19,19 @@ This module batches the work along two axes:
   buffers.  Per-chain failure localisation only runs when that one
   comparison fails, i.e. only under attack.
 
-* **Across nodes** — the plan keeps a cycle-scoped memo that groups
-  descriptors by chain: each distinct chain is MAC-checked once
-  network-wide per cycle no matter how many receivers see a copy, and
-  every later sighting — same object or a wire-rebuilt duplicate —
-  resolves with one dictionary probe.  The memo key is a one-shot
-  keyless BLAKE2b over the *entire* chain content — birth fields plus
-  every hop's owner, kind, claimed signer, and MAC — so probing costs
-  one C-level hash instead of the per-hop digest walk an
-  attested-digest key would need, and key equality implies content
-  equality under the same collision-resistance assumption the
-  registry's prefix-trust cache already makes.  Successful entries
-  carry the chain and attested digests, so a memo hit also warms the
-  rebuilt copy's lazy digest slots.
+* **Across nodes and cycles** — the plan keeps a verdict memo that
+  groups descriptors by chain: each distinct chain is walked and
+  MAC-checked once network-wide no matter how many receivers see a
+  copy or in which cycle, and every later sighting — same object or a
+  wire-rebuilt duplicate — resolves with one dictionary probe.  The
+  memo key is a one-shot keyless BLAKE2b over the *entire* chain
+  content — birth fields plus every hop's owner, kind, claimed signer,
+  and MAC — so probing costs one C-level hash instead of the per-hop
+  digest walk an attested-digest key would need, and key equality
+  implies content equality under the same collision-resistance
+  assumption the registry's prefix-trust cache already makes.
+  Successful entries carry the chain and attested digests, so a memo
+  hit also warms the rebuilt copy's lazy digest slots.
 
 The kernel computes exactly the predicate of ``verify_descriptor`` —
 same structural rules, same signer-continuity checks, same prefix-trust
@@ -44,16 +44,21 @@ the plan (``Engine.add_node``), and
 ``tests/properties/test_scheduler_equivalence.py`` holds it to the
 goldens the object transport's sequential walk produces.
 
-Memo lifetime and invalidation: the digest memo is cleared at every
-cycle boundary (:meth:`VerificationPlan.begin_cycle`), and
-:meth:`VerificationPlan.invalidate_creator` drops every memo entry for
-chains minted by a freshly blacklisted creator.  Crypto verdicts are
-blacklist-independent — blacklist filtering always runs live against
-each receiver's own blacklist, *after* verification, on both paths — so
-invalidation is hygiene plus defence-in-depth, not a correctness
-dependency; the cross-node tests in ``tests/crypto/test_batch.py`` pin
-that a same-cycle memo entry can never smuggle a blacklisted creator's
-descriptor past a receiver that already adopted the proof.
+Memo lifetime and invalidation: a verdict is a pure function of the
+chain content and the registry (which only ever grows), so the memo
+persists across cycles under a size cap, ``_VERDICT_MEMO_MAX``, and is
+cleared wholesale on overflow — the same cap and rule as
+:class:`repro.core.codec_batch.InternTable`'s record map, which holds
+the same chains keyed by their bytes.  When a clear happens changes
+work, never verdicts.  :meth:`VerificationPlan.invalidate_creator`
+drops every memo entry for chains minted by a freshly blacklisted
+creator.  Crypto verdicts are blacklist-independent — blacklist
+filtering always runs live against each receiver's own blacklist,
+*after* verification, on both paths — so invalidation is hygiene plus
+defence-in-depth, not a correctness dependency; the cross-node tests
+in ``tests/crypto/test_batch.py`` pin that a memo entry can never
+smuggle a blacklisted creator's descriptor past a receiver that
+already adopted the proof.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ from repro.core.descriptor import (
 
 _MAC_BYTES = 32
 _INITIAL_HOP_CAPACITY = 64
+#: Verdict memo cap: checked after each batch, cleared wholesale past it.
+_VERDICT_MEMO_MAX = 1 << 16
 
 # One fixed-width tag per hop kind (the closed TransferKind set), so the
 # key encoding below never concatenates two variable-length fields.
@@ -106,9 +113,9 @@ def _content_key(descriptor: SecureDescriptor) -> bytes:
     equally injective encoding of the same content, distinguished by a
     BLAKE2b ``person`` tag so the two schemes can never collide with
     each other.  Copies keyed under different schemes simply occupy
-    two memo entries (one extra verification per distinct chain per
-    cycle at worst); copies keyed under the same scheme share, which
-    is the case that carries the traffic.
+    two memo entries (one extra verification per distinct chain at
+    worst); copies keyed under the same scheme share, which is the
+    case that carries the traffic.
     """
     cached = descriptor._content_key
     if cached is not None:
@@ -170,19 +177,17 @@ class _PendingChain:
 
 
 class VerificationPlan:
-    """Cycle-scoped batched verification state, shared network-wide.
+    """Batched verification state, shared network-wide.
 
     One plan serves one :class:`~repro.crypto.registry.KeyRegistry` —
     in a simulation, one engine.  Every node bound to the plan routes
     its chain verifications through it; the plan answers from the
-    per-object memo, the cycle digest memo, or the flat MAC kernel, in
-    that order.  ``begin_cycle`` is idempotent per cycle number so the
-    scheduler and every node may all call it at a cycle boundary.
+    per-object memo, the content-keyed verdict memo, or the flat MAC
+    kernel, in that order.
     """
 
     __slots__ = (
         "registry",
-        "_cycle",
         "_verdicts",
         "_creator_digests",
         "_messages",
@@ -200,14 +205,13 @@ class VerificationPlan:
 
     def __init__(self, registry: Any) -> None:
         self.registry = registry
-        self._cycle: Optional[int] = None
-        # Cycle-scoped memo: content key (see _content_key) -> False
+        # Verdict memo: content key (see _content_key) -> False
         # for rejected chains, (chain_digest, attested_digest) for
         # verified ones, or a _PendingChain while its batch is in
         # flight.  Keyed on chain content so a wire-rebuilt duplicate
         # of an already-checked chain resolves with one hash + probe.
         self._verdicts: Dict[bytes, Any] = {}
-        # creator -> [memo keys] recorded this cycle, so a
+        # creator -> [memo keys] recorded since the last clear, so a
         # blacklist/purge can surgically drop the culprit's entries.
         self._creator_digests: Dict[Any, List[bytes]] = {}
         # Flat kernel state, preallocated and reused across batches:
@@ -229,21 +233,8 @@ class VerificationPlan:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # invalidation
     # ------------------------------------------------------------------
-
-    def begin_cycle(self, cycle: int) -> None:
-        """Open a new cycle: drop the previous cycle's digest memo.
-
-        Idempotent per cycle number — the scheduler calls it once per
-        boundary and every bound node calls it from ``begin_cycle``,
-        whichever comes first wins and the rest are no-ops.
-        """
-        if cycle == self._cycle:
-            return
-        self._cycle = cycle
-        self._verdicts.clear()
-        self._creator_digests.clear()
 
     def invalidate_creator(self, creator: Any) -> int:
         """Drop every memo entry for chains minted by ``creator``.
@@ -284,16 +275,37 @@ class VerificationPlan:
 
         Descriptors already carrying the per-object memo are settled
         immediately; the rest are grouped by chain content, answered
-        from the cycle memo where possible, and the remaining distinct
+        from the verdict memo where possible, and the remaining distinct
         chains go through the flat MAC kernel together.  Successful
         chains receive exactly the side effects of
         ``verify_descriptor``: cached digests, the ``_verified_by``
         object memo, and a registry prefix-trust entry.
         """
+        memo = self._verdicts
+        pending: List[_PendingChain] = []
+        try:
+            results = self._settle(descriptors, pending)
+        except BaseException:
+            # A record left in flight would turn every later copy of its
+            # chain into a follower of a batch that never settles.
+            for record in pending:
+                if memo.get(record.chain_key) is record:
+                    del memo[record.chain_key]
+            raise
+        if len(memo) > _VERDICT_MEMO_MAX:
+            memo.clear()
+            self._creator_digests.clear()
+        self.batches += 1
+        return results
+
+    def _settle(
+        self,
+        descriptors: Sequence[SecureDescriptor],
+        pending: List[_PendingChain],
+    ) -> List[bool]:
         registry = self.registry
         memo = self._verdicts
         results = [False] * len(descriptors)
-        pending: List[_PendingChain] = []
         hop_cursor = 0
         keys = self._keys
         keys.clear()
@@ -317,8 +329,8 @@ class VerificationPlan:
                     cached.followers.append(descriptor)
                     cached.result_slots.append(slot)
                     continue
-                # A copy of a chain already settled this cycle: one
-                # dictionary probe replaces the whole walk.
+                # A copy of a chain already settled: one dictionary
+                # probe replaces the whole walk.
                 self.digest_memo_hits += 1
                 if cached is not False:
                     if descriptor._chain_digest is None:
@@ -410,7 +422,6 @@ class VerificationPlan:
                 else:
                     memo[chain_key] = False
                     self.chains_rejected += 1
-        self.batches += 1
         return results
 
     # ------------------------------------------------------------------
@@ -513,7 +524,7 @@ class VerificationPlan:
                 ):
                     del trusted[stale]
 
-    def _track_creator(self, creator: Any, chain_key: tuple) -> None:
+    def _track_creator(self, creator: Any, chain_key: bytes) -> None:
         bucket = self._creator_digests.get(creator)
         if bucket is None:
             self._creator_digests[creator] = [chain_key]

@@ -161,9 +161,7 @@ class Engine:
         # Engine-wide batched-verification plan (repro.crypto.batch):
         # created lazily when add_node binds the first wire-transport
         # node, so each distinct ownership chain is verified once
-        # network-wide per cycle.  Stays None on object-transport runs;
-        # the schedulers reset it at every cycle boundary when it
-        # exists.
+        # network-wide.  Stays None on object-transport runs.
         self._verification_plan: Optional[Any] = None
         # Optional repro.ops.checkpoint.CheckpointPolicy: both
         # schedulers call ``after_cycle`` on it at every completed

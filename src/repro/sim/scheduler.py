@@ -111,11 +111,6 @@ class CycleScheduler(Scheduler):
     def _run_one_cycle(self, engine: Any) -> None:
         cycle = engine.clock.cycle
         engine._apply_churn(cycle)
-        plan = engine._verification_plan
-        if plan is not None:
-            # New cycle, fresh cross-node digest memo (idempotent —
-            # bound nodes also call this from begin_cycle).
-            plan.begin_cycle(cycle)
 
         # One shuffled order buffer, reused across cycles: refilled from
         # the alive list (attachment order, matching ``list(engine.nodes)``)
@@ -344,8 +339,6 @@ class EventScheduler(Scheduler):
         if start_cycle > self._churn_done_cycle:
             engine._apply_churn(start_cycle)
             self._churn_done_cycle = start_cycle
-        if engine._verification_plan is not None:
-            engine._verification_plan.begin_cycle(start_cycle)
         self._seed_new_activations(clock.now_s, period)
         for event in engine._churn.timed_events_between(
             max(self._timed_churn_horizon_s, clock.now_s), end_time
@@ -438,8 +431,6 @@ class EventScheduler(Scheduler):
             # where the cycle runtime would apply it.
             engine._apply_churn(cycle + 1)
             self._churn_done_cycle = cycle + 1
-            if engine._verification_plan is not None:
-                engine._verification_plan.begin_cycle(cycle + 1)
             self._seed_new_activations(time_s, period)
 
 

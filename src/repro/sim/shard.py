@@ -402,9 +402,6 @@ class ShardWorker:
         engine = self.engine
         if engine._churn.events_at(cycle):
             raise ShardFailure("sharded runs do not support churn schedules")
-        plan = engine._verification_plan
-        if plan is not None:
-            plan.begin_cycle(cycle)
         # Replicate CycleScheduler._run_one_cycle's RNG consumption
         # exactly: two shuffles of the full alive list per cycle, from
         # the same buffer state, on every shard.
@@ -465,9 +462,6 @@ class ShardWorker:
         engine = self.engine
         if engine._churn.events_at(cycle):
             raise ShardFailure("sharded runs do not support churn schedules")
-        plan = engine._verification_plan
-        if plan is not None:
-            plan.begin_cycle(cycle)
         order = list(self.local_ids)
         order_rng = engine._order_rng
         order_rng.shuffle(order)

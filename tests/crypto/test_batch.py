@@ -1,10 +1,11 @@
 """Unit tests for the batched verification kernel and its plan.
 
 Covers the flat-buffer MAC kernel (single-comparison settle, failure
-localisation, buffer growth), the memo layers (per-object, cycle digest
+localisation, buffer growth), the memo layers (per-object, verdict
 memo, within-batch piggyback), equivalence with ``verify_descriptor``
 verdict-for-verdict, and — most importantly — the cross-node memo
-lifecycle: cycle-boundary reset and blacklist/purge invalidation,
+lifecycle: persistence across cycles, the wholesale clear past the
+cap, cleanup after a failed batch, and blacklist/purge invalidation,
 including the scenario where node A's adoption blacklists a creator
 whose chains node B's same-cycle batch then sees.
 """
@@ -21,6 +22,7 @@ from repro.core.descriptor import (
     verify_descriptor,
 )
 from repro.core.samples import SampleCache
+from repro.crypto import batch as batch_module
 from repro.crypto.batch import VerificationPlan
 from repro.crypto.registry import KeyRegistry
 from repro.crypto.signing import Signature
@@ -101,7 +103,6 @@ def test_batch_verdicts_match_sequential_verifier(registry):
         chain(keypairs, 4, (5, 0)),
     ]
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     got = plan.verify_batch([rebuild(d) for d in batch])
 
     reference = KeyRegistry()
@@ -121,7 +122,6 @@ def test_forged_chain_is_localised_not_contagious(registry):
     batch = [rebuild(d) for d in honest]
     batch.insert(3, tamper(chain(keypairs, 0, (1, 2), ts=99.0)))
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     verdicts = plan.verify_batch(batch)
     assert verdicts == [True, True, True, False, True, True, True]
     assert plan.chains_rejected == 1
@@ -137,7 +137,6 @@ def test_unknown_signer_fails_batched_and_sequential(registry):
     )
     assert not verify_descriptor(rebuild(descriptor), registry)
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert plan.verify_batch([rebuild(descriptor)]) == [False]
 
 
@@ -157,7 +156,6 @@ def test_structural_violations_rejected_without_mac_work(registry):
         hops=redeemed.hops + (extra,),
     )
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert plan.verify_batch([grafted]) == [False]
     assert plan.macs_checked == 0
     assert not verify_descriptor(grafted, registry)
@@ -170,7 +168,6 @@ def test_buffer_growth_handles_batches_past_initial_capacity(registry):
         for i in range(40)  # 200 hops >> the 64-hop initial capacity
     ]
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert all(plan.verify_batch(batch))
     assert plan.macs_checked == 200
 
@@ -185,12 +182,11 @@ def test_duplicate_digests_are_mac_checked_once(registry):
     original = chain(keypairs, 0, (1, 2))
     copies = [rebuild(original) for _ in range(5)]
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     # Three copies in one batch: one kernel pass, two piggybacks.
     assert all(plan.verify_batch(copies[:3]))
     assert plan.macs_checked == 2  # one distinct chain, two hops
     assert plan.chains_verified == 1
-    # Two more in a later batch of the same cycle: digest-memo hits
+    # Two more in a later batch: digest-memo hits
     # (fresh objects, so the per-object memo cannot answer).
     assert all(plan.verify_batch([rebuild(original), rebuild(original)]))
     assert plan.chains_verified == 1
@@ -201,7 +197,6 @@ def test_negative_verdicts_are_memoised_within_cycle(registry):
     keypairs = make_keypairs(registry, 3)
     forged = tamper(chain(keypairs, 0, (1, 2)))
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert plan.verify_batch([forged]) == [False]
     checked = plan.macs_checked
     assert plan.verify_batch([rebuild(forged)]) == [False]
@@ -209,28 +204,71 @@ def test_negative_verdicts_are_memoised_within_cycle(registry):
     assert plan.digest_memo_hits == 1
 
 
-def test_begin_cycle_is_idempotent_and_resets_per_cycle(registry):
+def test_verdicts_outlive_the_cycle(registry):
+    """The memo has no cycle boundary: a copy rebuilt and verified any
+    time later is a memo hit, with no second walk and no MAC."""
     keypairs = make_keypairs(registry, 3)
     descriptor = chain(keypairs, 0, (1,))
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert plan.verify_batch([rebuild(descriptor)]) == [True]
-    plan.begin_cycle(0)  # same cycle: must keep the memo
     assert plan.verify_batch([rebuild(descriptor)]) == [True]
     assert plan.digest_memo_hits == 1
-    plan.begin_cycle(1)  # new cycle: memo dropped...
-    assert plan.verify_batch([rebuild(descriptor)]) == [True]
-    assert plan.digest_memo_hits == 1
-    # ...though the rebuilt copy still rides the registry prefix-trust
-    # cache, so no MACs were re-run for the already-attested chain.
     assert plan.macs_checked == 1
+    assert plan.chains_verified == 1
+
+
+def test_memo_clears_wholesale_past_its_cap(registry, monkeypatch):
+    monkeypatch.setattr(batch_module, "_VERDICT_MEMO_MAX", 2)
+    keypairs = make_keypairs(registry, 4)
+    chains = [chain(keypairs, i, ((i + 1) % 4,)) for i in range(3)]
+    plan = VerificationPlan(registry)
+    assert plan.verify_batch([rebuild(d) for d in chains[:2]]) == [True, True]
+    assert len(plan._verdicts) == 2  # at the cap: kept
+    assert plan.verify_batch([rebuild(chains[0])]) == [True]
+    assert plan.digest_memo_hits == 1
+    assert plan.verify_batch([rebuild(chains[2])]) == [True]
+    assert plan._verdicts == {} and plan._creator_digests == {}
+    # After the clear a copy is walked again and settles the same way,
+    # riding the registry's prefix-trust cache: no MAC is re-run.
+    checked = plan.macs_checked
+    assert plan.verify_batch([rebuild(chains[0])]) == [True]
+    assert plan.digest_memo_hits == 1
+    assert plan.macs_checked == checked
+    assert plan.chains_verified == 4
+
+
+def test_failed_batch_leaves_no_chain_in_flight(registry, monkeypatch):
+    """If the kernel raises mid-batch, the chains it was settling leave
+    the memo, so a later copy is verified instead of piggybacking onto a
+    record that never settles."""
+    keypairs = make_keypairs(registry, 3)
+    descriptor = chain(keypairs, 0, (1, 2))
+    plan = VerificationPlan(registry)
+    run_kernel = VerificationPlan._run_kernel
+    calls = []
+
+    def fail_once(self, pending, total_hops):
+        calls.append(total_hops)
+        if len(calls) == 1:
+            raise RuntimeError("kernel failure")
+        return run_kernel(self, pending, total_hops)
+
+    monkeypatch.setattr(VerificationPlan, "_run_kernel", fail_once)
+    with pytest.raises(RuntimeError):
+        plan.verify_batch([rebuild(descriptor), rebuild(descriptor)])
+    assert not any(
+        entry.__class__ is batch_module._PendingChain
+        for entry in plan._verdicts.values()
+    )
+    assert plan.verify_batch([rebuild(descriptor)]) == [True]
+    assert plan.chains_verified == 1
+    assert len(calls) == 2
 
 
 def test_verified_objects_short_circuit(registry):
     keypairs = make_keypairs(registry, 3)
     descriptor = chain(keypairs, 0, (1,))
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     assert plan.verify(descriptor)
     assert plan.verify(descriptor)
     assert plan.object_memo_hits >= 1
@@ -247,7 +285,6 @@ def test_invalidate_creator_drops_memo_entries(registry):
     by_culprit = chain(keypairs, 0, (1,))
     by_other = chain(keypairs, 2, (3,))
     plan = VerificationPlan(registry)
-    plan.begin_cycle(0)
     plan.verify_batch([rebuild(by_culprit), rebuild(by_other)])
     dropped = plan.invalidate_creator(keypairs[0].public)
     assert dropped == 1
@@ -271,7 +308,6 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
     culprit_kp = keypairs[0]
     culprit = culprit_kp.public
     plan = VerificationPlan(registry)
-    plan.begin_cycle(7)
 
     period = 10.0
     cache_a = SampleCache(horizon_cycles=10, period_seconds=period)
@@ -323,47 +359,79 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
     assert cache_b.get(honest_by_culprit.identity) is None
 
 
+def run_attacked_overlay(transport, bind_plan=False):
+    """40 nodes, 4 hub attackers from cycle 2, 6 cycles: each node's
+    view and blacklist, and the engine."""
+    overlay = build_secure_overlay(
+        n=40,
+        config=SecureCyclonConfig(
+            view_length=8, swap_length=3, transport=transport
+        ),
+        malicious=4,
+        attack_start=2,
+        seed=11,
+    )
+    if bind_plan:
+        plan = overlay.engine.verification_plan()
+        for node in overlay.engine.nodes.values():
+            node.bind_verification_plan(plan)
+    overlay.run(6)
+    snapshot = {
+        node_id: (
+            tuple(
+                (e.creator, e.descriptor.timestamp, len(e.descriptor.hops))
+                for e in node.view._entries
+            ),
+            frozenset(node.blacklist.by_culprit),
+        )
+        for node_id, node in sorted(overlay.engine.nodes.items())
+        if hasattr(node, "view")
+    }
+    return snapshot, overlay.engine
+
+
 def test_overlay_under_attack_exercises_shared_plan_invalidation():
     """End-to-end on the object transport: binding the shared plan to
     every node of an overlay under a hub attack matches the sequential
     overlay node-for-node, and the blacklisting wave actually exercised
     the shared plan's invalidation hook."""
-
-    def run(bind_plan):
-        overlay = build_secure_overlay(
-            n=40,
-            config=SecureCyclonConfig(
-                view_length=8, swap_length=3, transport="object"
-            ),
-            malicious=4,
-            attack_start=2,
-            seed=11,
-        )
-        if bind_plan:
-            plan = overlay.engine.verification_plan()
-            for node in overlay.engine.nodes.values():
-                node.bind_verification_plan(plan)
-        overlay.run(6)
-        snapshot = {
-            node_id: (
-                tuple(
-                    (e.creator, e.descriptor.timestamp, len(e.descriptor.hops))
-                    for e in node.view._entries
-                ),
-                frozenset(node.blacklist.by_culprit),
-            )
-            for node_id, node in sorted(overlay.engine.nodes.items())
-            if hasattr(node, "view")
-        }
-        return snapshot, overlay.engine
-
-    sequential, unplanned = run(False)
+    sequential, unplanned = run_attacked_overlay("object")
     assert unplanned._verification_plan is None
-    batched, engine = run(True)
+    batched, engine = run_attacked_overlay("object", bind_plan=True)
     assert sequential == batched
     plan = engine._verification_plan
     assert plan.invalidations > 0
     assert plan.chains_verified > 0
+
+
+def test_when_the_memo_clears_changes_work_never_outputs(monkeypatch):
+    """A 40-node wire overlay under a hub attack ends in the same views
+    and blacklists whether the verdict memo clears every few chains or
+    never, and the tiny cap really bounds the memo."""
+    default, engine = run_attacked_overlay("wire")
+    default_plan = engine._verification_plan
+
+    cap = 4
+    held = []
+    settle = VerificationPlan._settle
+
+    def tracking_settle(self, descriptors, pending):
+        results = settle(self, descriptors, pending)
+        # Nothing leaves the memo inside a batch, so this is its peak.
+        held.append((len(self._verdicts), len(descriptors)))
+        return results
+
+    monkeypatch.setattr(batch_module, "_VERDICT_MEMO_MAX", cap)
+    monkeypatch.setattr(VerificationPlan, "_settle", tracking_settle)
+    tiny, engine = run_attacked_overlay("wire")
+    tiny_plan = engine._verification_plan
+
+    assert tiny == default
+    assert any(blacklist for _, blacklist in tiny.values())
+    assert tiny_plan.macs_checked >= default_plan.macs_checked
+    assert tiny_plan.chains_verified > default_plan.chains_verified
+    assert held and all(peak <= cap + size for peak, size in held)
+    assert len(tiny_plan._verdicts) <= cap
 
 
 @pytest.mark.parametrize("transport", ["object", "wire"])

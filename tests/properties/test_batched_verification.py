@@ -219,7 +219,6 @@ def _run_sequential(descriptors, pre_blacklisted):
 def _run_batched(descriptors, pre_blacklisted):
     harness = _Harness(_fresh_registry(), pre_blacklisted)
     plan = VerificationPlan(harness.registry)
-    plan.begin_cycle(1)
     harness.cache.observe_stream_planned(
         [_rebuild(d) for d in descriptors],
         cycle=1,
@@ -261,7 +260,7 @@ def test_batched_stream_is_observationally_identical(spec):
 def test_two_message_streams_match_across_shared_plan_state(spec, split):
     """Splitting one batch into two messages (as dialogue traffic does)
     keeps both paths identical — the plan memo carries state between
-    verify_batch calls within a cycle."""
+    verify_batch calls."""
     descriptors, pre_blacklisted = _materialize(spec)
     cut = min(split, len(descriptors))
 
@@ -275,7 +274,6 @@ def test_two_message_streams_match_across_shared_plan_state(spec, split):
 
     bat = _Harness(_fresh_registry(), pre_blacklisted)
     plan = VerificationPlan(bat.registry)
-    plan.begin_cycle(1)
     rebuilt = [_rebuild(d) for d in descriptors]
     for part in (rebuilt[:cut], rebuilt[cut:]):
         bat.cache.observe_stream_planned(
