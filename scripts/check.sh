@@ -1,159 +1,46 @@
 #!/usr/bin/env bash
-# CI gate: a budgeted smoke-scale benchmark + tier-1 tests + docs
-# consistency + example smoke-runs.
+# CI gate: tier-1 tests + the gate benchmark measured against the
+# parent commit + docs consistency + example smoke-runs + the
+# equivalence and resume-golden guards.
 #
-#   scripts/check.sh              # perf guard + tests + docs + examples
-#   SKIP_PERF=1 scripts/check.sh  # skip the perf guard
+#   scripts/check.sh
 #
-# The perf guard reruns the 200-node full-cycle benchmark and fails if
-# it regresses more than 30% against the most recent entry recorded in
-# BENCH_core.json (see benchmarks/baseline.py).  It runs FIRST, in a
-# fresh process on a cold box: measuring right after the test suite
-# inflates the number up to ~1.45x from burst/thermal throttling alone
-# (calibration data in PERFORMANCE.md), which would force a uselessly
-# loose budget.  The comparison uses the *min* statistic: on shared CI
-# hardware scheduling noise only ever adds time, so the min is the
-# stable signal.
+# The perf step (scripts/perf_vs_parent.py) checks the parent commit
+# out into a temporary git worktree and runs the gate suite on both
+# trees on the same machine, alternating; the bounds are BENCHMARK.json's.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-if [[ "${SKIP_PERF:-0}" == "1" ]]; then
-    echo "== perf guard skipped (SKIP_PERF=1) =="
-else
-    echo "== perf guard (budget: <=1.3x of BENCH_core.json; runs first, on a cold box) =="
-    python - <<'PY'
-import json
-import pathlib
-import sys
-import time
-
-from repro.core.config import SecureCyclonConfig
-from repro.experiments.scale import Scale, run_scale_stress
-from repro.experiments.scenarios import build_secure_overlay
-
-# 1.3x absorbs machine drift between the recording and this box (the
-# same revision measured within ~1.15x of its fresh recording when
-# cold) while still catching real regressions — the seed -> optimized
-# delta this gate exists to protect was 2.1x.
-BUDGET = 1.30
-WALL_CLOCK_BUDGET_S = 120.0
-
-bench_path = pathlib.Path("BENCH_core.json")
-if not bench_path.exists():
-    sys.exit("BENCH_core.json missing; run benchmarks/baseline.py first")
-data = json.loads(bench_path.read_text())
-entries = data["entries"]
-label, entry = list(entries.items())[-1]
-recorded = entry["metrics"]["full_cycle_200_nodes_ms"]["min"]
-
-started = time.perf_counter()
-
-overlay = build_secure_overlay(
-    n=200, config=SecureCyclonConfig(view_length=20, swap_length=3), seed=1
-)
-overlay.run(3)
-times = []
-for _ in range(5):
-    t0 = time.perf_counter()
-    overlay.run(1)
-    times.append((time.perf_counter() - t0) * 1e3)
-measured = min(times)
-
-ratio = measured / recorded
-print(f"full cycle: {measured:.1f} ms vs recorded [{label}] {recorded:.1f} ms "
-      f"(x{ratio:.2f}, budget x{BUDGET})")
-
-# Batched-verification micro-kernel: re-time the fan-out scenario (the
-# kernel's reason to exist) against the recorded number under a 20%
-# budget — micro-kernels are far less noisy than full-cycle wall time,
-# so the tighter budget holds.
-BATCH_BUDGET = 1.20
-batch_ratio = None
-recorded_batch = entry["metrics"].get("batch_verify_fanout")
-if recorded_batch is not None:
-    sys.path.insert(0, "benchmarks")
-    from bench_batch_verify import bench_fanout
-
-    fanout = bench_fanout(rounds=8)
-    batch_ratio = (
-        fanout["batched_us_per_sighting"]
-        / recorded_batch["batched_us_per_sighting"]
-    )
-    print(
-        f"batch verify fanout: {fanout['batched_us_per_sighting']:.2f} us "
-        f"vs recorded [{label}] "
-        f"{recorded_batch['batched_us_per_sighting']:.2f} us "
-        f"(x{batch_ratio:.2f}, budget x{BATCH_BUDGET})"
-    )
-
-# Codec fast path: re-time the fan-out decode (the per-frame cost the
-# wire transport actually pays each cycle) against the recorded
-# number.  Slightly looser than the verify kernel's budget: the codec
-# kernel is dict-probe heavy, so allocator state moves it a bit more.
-CODEC_BUDGET = 1.25
-codec_ratio = None
-recorded_codec = entry["metrics"].get("codec_fanout")
-if recorded_codec is not None:
-    if "benchmarks" not in sys.path:
-        sys.path.insert(0, "benchmarks")
-    from bench_codec import bench_fanout as bench_codec_fanout
-
-    codec = bench_codec_fanout(rounds=8)
-    codec_ratio = (
-        codec["fast_decode_us_per_frame"]
-        / recorded_codec["fast_decode_us_per_frame"]
-    )
-    print(
-        f"codec fanout decode: {codec['fast_decode_us_per_frame']:.2f} us "
-        f"vs recorded [{label}] "
-        f"{recorded_codec['fast_decode_us_per_frame']:.2f} us "
-        f"(x{codec_ratio:.2f}, budget x{CODEC_BUDGET}) | "
-        f"intern hit rate {codec['intern_hit_rate']:.1%}"
-    )
-
-report = run_scale_stress(scale=Scale.SMOKE, seed=7)
-print(report.render())
-
-elapsed = time.perf_counter() - started
-print(f"perf guard wall clock: {elapsed:.1f}s (budget {WALL_CLOCK_BUDGET_S:.0f}s)")
-if elapsed > WALL_CLOCK_BUDGET_S:
-    sys.exit("perf guard exceeded its wall-clock budget")
-if ratio > BUDGET:
-    sys.exit(f"full-cycle benchmark regressed: x{ratio:.2f} > x{BUDGET}")
-if batch_ratio is not None and batch_ratio > BATCH_BUDGET:
-    sys.exit(
-        f"batched verification kernel regressed: x{batch_ratio:.2f} "
-        f"> x{BATCH_BUDGET}"
-    )
-if codec_ratio is not None and codec_ratio > CODEC_BUDGET:
-    sys.exit(
-        f"codec fast path regressed: x{codec_ratio:.2f} > x{CODEC_BUDGET}"
-    )
-print("perf guard OK")
-PY
-fi
+# One scratch directory and one EXIT trap for everything the steps
+# below leave behind: the parent's worktree and the checkpoint files.
+SCRATCH=$(mktemp -d)
+PARENT_TREE="$SCRATCH/parent"
+CKPT_DIR="$SCRATCH/ckpt"
+mkdir "$CKPT_DIR"
+cleanup() {
+    if [[ -d "$PARENT_TREE" ]]; then
+        git worktree remove --force "$PARENT_TREE" > /dev/null 2>&1 || true
+    fi
+    git worktree prune > /dev/null 2>&1 || true
+    rm -rf "$SCRATCH"
+}
+trap cleanup EXIT
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-# Gate benchmark self-check: the suite's own tests (tier-1 does not
-# collect them), then one untraced pass each of steady_wire, hub40_wire
-# and build_4k.  Their exit codes cover the seed-42 digests recorded in
-# expected_digests.json and the wire == object twin digest, honest
-# (steady_wire, where the verification plan's verdict memo carries the
-# most traffic across cycles) and under the hub attack.  build_4k's
-# digest pins the bootstrap's RNG stream at a population no golden
-# covers (tests/test_bootstrap.py pins the linear cost: its sampler
-# test fails if a build compares node ids).
-echo "== gate benchmark (suite tests; steady_wire, hub40_wire and build_4k digest and twin checks) =="
+# Gate benchmark: the suite's own tests (tier-1 does not collect them);
+# the working tree against its parent commit on steady_object,
+# steady_wire and hub40_wire (scripts/perf_vs_parent.py; each pass of
+# the working tree also checks the seed-42 digests and the wire ==
+# object twin digest); and one build_4k pass, whose digest pins the
+# bootstrap's RNG stream at a population no golden covers.
+echo "== gate benchmark (suite tests; change vs parent; build_4k digest and twin checks) =="
 python -m pytest benchmarks/suite/tests -q
-python3 benchmarks/suite/run.py --workload steady_wire --seed 42 --trace 0 > /dev/null
-echo "steady_wire gate pass ok"
-python3 benchmarks/suite/run.py --workload hub40_wire --seed 42 --trace 0 > /dev/null
-echo "hub40_wire gate pass ok"
+python3 scripts/perf_vs_parent.py --worktree "$PARENT_TREE"
 python3 benchmarks/suite/run.py --workload build_4k --seed 42 --trace 0 > /dev/null
 echo "build_4k gate pass ok"
 
@@ -235,12 +122,6 @@ python -m pytest -q \
 REPRO_SCALE=smoke timeout 300 python -m repro.experiments scale_sharded > /dev/null
 echo "scale_sharded smoke-run ok"
 
-# Bench-history schema: the recorded perf trajectory the perf guard
-# reads must stay well-formed (a merge-mangled BENCH_core.json would
-# otherwise feed the guard a silent garbage budget).
-echo "== bench history schema (benchmarks/baseline.py --list) =="
-python benchmarks/baseline.py --list
-
 # Checkpoint/resume: an experiment checkpointed at its midpoint and
 # resumed in a FRESH PROCESS must reproduce the committed golden
 # bit-for-bit.  Tier-1 runs the in-process {object,wire} resume
@@ -248,8 +129,6 @@ python benchmarks/baseline.py --list
 # the CLI split end to end — two invocations, two interpreters, one
 # golden — on one object-transport and one wire-transport figure.
 echo "== resume-golden (25+25 == 50: --checkpoint then --resume vs golden) =="
-CKPT_DIR=$(mktemp -d)
-trap 'rm -rf "$CKPT_DIR"' EXIT
 for fig in fig2 fig5; do
     printf '  %s (object) checkpoint half ... ' "$fig"
     timeout 300 python -m repro.experiments "$fig" --scale smoke --seed 1 \

@@ -196,150 +196,3 @@ def run_paper_scale(
 def render_paper_scale(report: PaperScaleReport) -> str:
     return report.render()
 
-
-# ----------------------------------------------------------------------
-# scale stress scenario
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StressReport:
-    """Outcome of one :func:`run_scale_stress` run.
-
-    ``cycles_per_second`` is the headline number: the ROADMAP's north
-    star is paper-scale (1K–10K node) runs, and this scenario is the
-    treadmill that proves the simulation core keeps up while churn and
-    a hub attack are both active.
-    """
-
-    scale: str
-    nodes: int
-    cycles: int
-    malicious: int
-    crashed: int
-    joined: int
-    elapsed_seconds: float
-    cycles_per_second: float
-    final_population: int
-    mean_view_fill: float
-    blacklisted_fraction: float
-
-    def render(self) -> str:
-        lines = [
-            f"scale stress [{self.scale}]: {self.nodes} nodes, "
-            f"{self.cycles} cycles, {self.malicious} attackers",
-            f"  churn: {self.crashed} crashed, {self.joined} joined "
-            f"-> {self.final_population} alive",
-            f"  wall clock: {self.elapsed_seconds:.2f}s "
-            f"({self.cycles_per_second:.1f} cycles/s)",
-            f"  mean view fill: {self.mean_view_fill:.3f}",
-            f"  attackers blacklisted: {self.blacklisted_fraction:.2f}",
-        ]
-        return "\n".join(lines)
-
-
-def run_scale_stress(scale: Optional[Scale] = None, seed: int = 7) -> StressReport:
-    """Churn + hub attack at scale: the perf-trajectory stress scenario.
-
-    A SecureCyclon overlay (2K nodes at ``REPRO_SCALE=full``, scaled
-    down for the default and smoke presets) runs three phases: a clean
-    warm-up, a hub-attack phase with 10% malicious nodes active, and a
-    churn phase where a slice of honest nodes crashes and fresh joiners
-    bootstrap in via the §V-A non-swappable join while the attack keeps
-    running.  Returns wall-clock and health metrics; used by the
-    benchmark harness to keep the paper-scale path honest.
-    """
-    # Imported lazily: scale.py is a leaf module read by every figure
-    # harness, and the scenario machinery would make it a heavy import.
-    from repro.bootstrap import bootstrap_joiner
-    from repro.core.config import SecureCyclonConfig
-    from repro.core.node import SecureCyclonNode
-    from repro.experiments.scenarios import build_secure_overlay
-    from repro.metrics.links import view_fill_fraction
-
-    import time
-
-    scale = resolve_scale(scale)
-    n = pick(scale, 40, 400, 2000)
-    warmup = pick(scale, 3, 5, 10)
-    attack_cycles = pick(scale, 3, 8, 20)
-    churn_cycles = pick(scale, 3, 7, 20)
-    churn_fraction = 0.05
-    malicious = max(2, n // 10)
-
-    config = SecureCyclonConfig(view_length=20, swap_length=3)
-    overlay = build_secure_overlay(
-        n=n,
-        config=config,
-        malicious=malicious,
-        attack_start=warmup,
-        seed=seed,
-    )
-    engine = overlay.engine
-
-    started = time.perf_counter()
-    overlay.run(warmup + attack_cycles)
-
-    # Churn slice: crash 5% of the honest population, then bootstrap
-    # the same number of fresh joiners from live donors (§V-A join).
-    churn_rng = engine.rng_hub.stream("scale-stress-churn")
-    honest = sorted(engine.legit_ids)
-    crashed = churn_rng.sample(honest, max(1, int(len(honest) * churn_fraction)))
-    for node_id in crashed:
-        engine.remove_node(node_id)
-
-    donors = [
-        node
-        for node in engine.nodes.values()
-        if isinstance(node, SecureCyclonNode) and not node.is_malicious
-    ]
-    joined = 0
-    for _ in range(len(crashed)):
-        keypair = engine.registry.new_keypair(churn_rng)
-        address = engine.network.reserve_address(keypair.public)
-        joiner = SecureCyclonNode(
-            keypair=keypair,
-            address=address,
-            config=config,
-            clock=engine.clock,
-            registry=engine.registry,
-            rng=engine.rng_hub.stream(f"joiner-{joined}"),
-            trace=engine.trace,
-        )
-        joiner.bind_network(engine.network)
-        engine.add_node(joiner)  # picks the chain verifier
-        bootstrap_joiner(joiner, donors, links=3, rng=churn_rng)
-        joined += 1
-
-    overlay.run(churn_cycles)
-    elapsed = time.perf_counter() - started
-
-    cycles = warmup + attack_cycles + churn_cycles
-    malicious_alive = engine.malicious_ids
-    blacklisted_votes = [
-        sum(
-            1
-            for mid in malicious_alive
-            if node.blacklist.is_blacklisted(mid)
-        )
-        / max(1, len(malicious_alive))
-        for node in engine.nodes.values()
-        if isinstance(node, SecureCyclonNode) and not node.is_malicious
-    ]
-    return StressReport(
-        scale=scale.value,
-        nodes=n,
-        cycles=cycles,
-        malicious=malicious,
-        crashed=len(crashed),
-        joined=joined,
-        elapsed_seconds=elapsed,
-        cycles_per_second=cycles / elapsed if elapsed > 0 else float("inf"),
-        final_population=len(engine.nodes),
-        mean_view_fill=view_fill_fraction(engine),
-        blacklisted_fraction=(
-            sum(blacklisted_votes) / len(blacklisted_votes)
-            if blacklisted_votes
-            else 0.0
-        ),
-    )

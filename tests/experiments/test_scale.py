@@ -34,31 +34,6 @@ def test_pick():
     assert pick(Scale.FULL, 1, 2, 3) == 3
 
 
-def test_scale_stress_smoke():
-    """The churn + hub-attack stress scenario runs healthy at SMOKE."""
-    from repro.experiments.scale import run_scale_stress
-
-    report = run_scale_stress(scale=Scale.SMOKE, seed=7)
-    assert report.nodes == 40
-    assert report.crashed >= 1
-    assert report.joined == report.crashed
-    assert report.final_population == report.nodes  # churn is balanced
-    assert report.mean_view_fill > 0.8  # views healed after churn
-    assert report.blacklisted_fraction > 0.9  # hub attackers caught
-    assert report.cycles_per_second > 0
-    assert "scale stress" in report.render()
-
-
-def test_scale_stress_is_deterministic():
-    from repro.experiments.scale import run_scale_stress
-
-    first = run_scale_stress(scale=Scale.SMOKE, seed=11)
-    second = run_scale_stress(scale=Scale.SMOKE, seed=11)
-    assert first.mean_view_fill == second.mean_view_fill
-    assert first.blacklisted_fraction == second.blacklisted_fraction
-    assert first.crashed == second.crashed
-
-
 def test_paper_scale_smoke():
     """Both transports complete and agree on overlay health."""
     from repro.experiments.scale import run_paper_scale

@@ -129,15 +129,14 @@ def _imported_names(source: str, package: str):
 
 def test_every_src_module_is_reachable_from_an_entry_point():
     """The static import closure of what actually runs — the experiments
-    and ops CLIs, the gate benchmark worker, the BENCH recorder, the
-    golden capture script, check.sh's inline Python and every example —
-    covers ``src/repro``.  A module none of them reaches is dead code."""
+    and ops CLIs, the gate benchmark worker, the golden capture script,
+    check.sh's inline Python and every example — covers ``src/repro``.
+    A module none of them reaches is dead code."""
     check_sh = (REPO / "scripts" / "check.sh").read_text(encoding="utf-8")
     # Each item: (source, package for relative imports, directory
-    # searched for top-level script imports).  check.sh's inline code
-    # puts benchmarks/ on sys.path.
+    # searched for top-level script imports).
     pending = [
-        (code, "", REPO / "benchmarks")
+        (code, "", REPO)
         for code in re.findall(r"<<'PY'\n(.*?)\nPY\n", check_sh, re.DOTALL)
     ]
     pending.append(
@@ -145,7 +144,6 @@ def test_every_src_module_is_reachable_from_an_entry_point():
     )
     seen = {
         REPO / "benchmarks" / "suite" / "worker.py",
-        REPO / "benchmarks" / "baseline.py",
         REPO / "scripts" / "capture_figures.py",
         *(REPO / "examples").glob("*.py"),
     }
